@@ -9,8 +9,16 @@ shortened without decreasing the window density (split off a full period; the
 density of the split-off block is the full-period average, which is itself
 attained by a window of length exactly Q containing the origin).
 
-Halos, halo measures, Tauberian ratios and their exhaustive suprema over all
-nonempty atom subsets are therefore computed exactly, with rational
+The halo at alpha = p/q is the union of the windows W of positive weight
+q * #(E in W) - p * #W, with multiplicity along the orbit: every atom of such
+a window exceeds alpha, and a halo atom lies in its own witnessing window.
+The same split keeps a positive window positive while it is cut to at most
+2Q_i - 1 cells on each axis around any atom it holds (drop a full period
+when its weight is not positive, else keep the Q_i-window through the atom).
+So the halo is found orbit by orbit, by covering the period grid of the
+orbit with its short positive windows, not by evaluating the operator atom
+by atom.  Halos, halo measures, Tauberian ratios and their exhaustive suprema
+over all nonempty atom subsets are computed exactly, with rational
 arithmetic end to end.
 """
 
@@ -20,7 +28,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _cartesian
+from itertools import accumulate, compress, product as _cartesian
+from operator import add
 import random
 
 from .errors import DomainError
@@ -349,6 +358,8 @@ def _eval_max_nd(system: AtomicSystem, in_E: list[bool], atom: int, arms: list[i
 
 
 def _windowed_max(arr: list[int], w: int) -> list[int]:
+    """out[j] = max(arr[j : j + w]) by a monotone deque; a sliding minimum is
+    the negated maximum of the negated values."""
     out = []
     dq: deque[int] = deque()
     for i, v in enumerate(arr):
@@ -362,18 +373,24 @@ def _windowed_max(arr: list[int], w: int) -> list[int]:
     return out
 
 
-def _windowed_min(arr: list[int], w: int) -> list[int]:
-    out = []
-    dq: deque[int] = deque()
-    for i, v in enumerate(arr):
-        while dq and arr[dq[-1]] >= v:
-            dq.pop()
-        dq.append(i)
-        if dq[0] <= i - w:
-            dq.popleft()
-        if i >= w - 1:
-            out.append(arr[dq[0]])
-    return out
+def _covered_cyclic(w: list[int]) -> list[bool]:
+    """Flags the cells i of a cycle of integer weights that lie in some run of
+    positive total with both arms around i shorter than the cycle.
+
+    If the full-period total is positive every cell is covered (repeat the
+    period); otherwise the best right end minus the best left start is read
+    off sliding prefix extrema over a tripled copy of the cycle.
+    """
+    P = len(w)
+    if max(w) <= 0:
+        return [False] * P
+    if sum(w) > 0:
+        return [True] * P
+    G = list(accumulate(w * 3, initial=0))
+    # arms a, b in [0, P-1]: max over b of G[i+P+b+1] minus min over a of G[i+P-a]
+    ends = _windowed_max(G[P + 1 :], P)  # ends[i] = max G[i+P+1 : i+2P+1]
+    starts = _windowed_max([-g for g in G[1 : 2 * P]], P)  # starts[i] = -min G[i+1 : i+P+1]
+    return [e + s > 0 for e, s in zip(ends, starts)]
 
 
 def ergodic_halo(system: AtomicSystem, E: MeasurableSet, alpha: Fraction) -> MeasurableSet:
@@ -389,150 +406,80 @@ def ergodic_halo(system: AtomicSystem, E: MeasurableSet, alpha: Fraction) -> Mea
 
 
 def _halo_atoms_1d(system: AtomicSystem, atoms_in_E: set[int], alpha: Fraction) -> list[int]:
-    """Per-cycle linear-time level-set scan.
-
-    Within a cycle of length P, if the full-period weight is positive the
-    whole cycle is in the halo (repeat the period); otherwise any positive
-    window reduces to one with both arms shorter than P, handled by sliding
-    prefix extrema over a tripled copy of the cycle.
-    """
+    """Per-cycle linear-time covered-run scan of the weights q - p on E and
+    -p off E."""
     p, q = alpha.numerator, alpha.denominator
     members: list[int] = []
     for cyc in _cycles(system.generators[0]):
-        P = len(cyc)
         w = [q - p if a in atoms_in_E else -p for a in cyc]
-        total = sum(w)
-        if total > 0:
-            members.extend(cyc)
-            continue
-        x = w * 3
-        G = [0] * (3 * P + 1)
-        for i, v in enumerate(x):
-            G[i + 1] = G[i] + v
-        up = _windowed_max(G, P)  # up[j] = max G[j : j+P]
-        dn = _windowed_min(G, P)
-        for i in range(P):
-            # arms a, b in [0, P-1]: max over b of G[i+P+b+1] minus min over a of G[i+P-a]
-            if up[i + P + 1] - dn[i + 1] > 0:
-                members.append(cyc[i])
+        members.extend(compress(cyc, _covered_cyclic(w)))
     return members
 
 
 def _halo_atoms_nd(system: AtomicSystem, atoms_in_E: set[int], alpha: Fraction) -> list[int]:
-    """Volume-bounded level-set search for several commuting generators.
+    """Union of the positive windows of every orbit that meets E.
 
-    A witnessing window can be taken with per-axis lengths at most 2Q_i - 1
-    (orbit periods), whereupon no atom of E is counted more than 2^n times:
-    a positive window then forces vol < 2^n * #E * q / p, so only atoms
-    within that reach of E are candidates and only boxes below that volume
-    need testing.
+    An orbit is laid on the Q_1 x ... x Q_n grid of exponents modulo the
+    periods of one of its atoms.  The orbit map is Q-periodic, so window
+    counts read on the grid are exact even where several cells name the same
+    atom.  By the module docstring a positive window can be cut to lengths at
+    most 2Q_i - 1 while it keeps a given atom, so it counts each grid cell of
+    E at most 2^n times and its volume stays below q 2^n #(E on the grid) / p.
+    Each window on the first n - 1 axes, started in [0, Q_i) and grown one
+    slice at a time, sums the grid into one column along the last axis; the
+    cyclic covered-run scan of q * count - p * outer volume gives the columns
+    of its positive windows, and the window's rows times those columns are
+    halo atoms.  An orbit stops as soon as all of its atoms are covered.
     """
     p, q = alpha.numerator, alpha.denominator
-    n = system.dim
-    vol_bound = (q * (1 << n) * len(atoms_in_E) + p - 1) // p  # vol < bound suffices
-    inverses = [_inverse(g) for g in system.generators]
-
-    candidates: set[int] = set(atoms_in_E)
-    periods_of = [_cycle_length_of(g) for g in system.generators]
-    # a witnessing offset satisfies |j_i| <= Q_i - 1 per axis on top of the
-    # volume budget, so spreading stops at the axis period
-    axis_caps = [max(periods_of[i]) - 1 for i in range(n)]
-
-    def spread(axis: int, atoms: set[int], budget: int):
-        """All U^{-j} images of `atoms` with prod(|j_i| + 1) <= budget."""
-        if axis == n:
-            candidates.update(atoms)
-            return
-        g, inv = system.generators[axis], inverses[axis]
-        forward = set(atoms)
-        backward = set(atoms)
-        d = 0
-        while d + 1 <= budget and d <= axis_caps[axis]:
-            spread(axis + 1, forward | backward, budget // (d + 1))
-            if len(candidates) == system.atom_count:
-                return
-            d += 1
-            forward = {g[a] for a in forward}
-            backward = {inv[a] for a in backward}
-
-    spread(0, set(atoms_in_E), vol_bound)
-
-    members = []
-    for atom in sorted(candidates):
-        if atom in atoms_in_E or _threshold_test_nd(
-            system, atoms_in_E, atom, p, q, vol_bound, periods_of
-        ):
-            members.append(atom)
+    members: list[int] = []
+    seen: set[int] = set()
+    for origin in sorted(atoms_in_E):
+        if origin in seen:
+            continue
+        shape = [_cycle_length_of(g)[origin] for g in system.generators]
+        grid = [origin]
+        for axis, Q in enumerate(shape):
+            grid = [a for b in grid for a in _axis_line(system, b, axis, 0, Q - 1)]
+        seen.update(grid)
+        members.extend(_orbit_halo(grid, shape, atoms_in_E, p, q))
     return members
 
 
-def _threshold_test_nd(system, atoms_in_E, atom, p, q, vol_bound, periods_of) -> bool:
-    n = system.dim
-    arms = [min(periods_of[i][atom] - 1, vol_bound - 1) for i in range(n)]
-    flat = [atom]
-    for axis in range(n):
-        expanded: list[int] = []
-        for a in flat:
-            expanded.extend(_axis_line(system, a, axis, arms[axis], arms[axis]))
-        flat = expanded
-    shape = [2 * arm + 1 for arm in arms]
-    strides = [0] * n
-    acc = 1
-    for i in range(n - 1, -1, -1):
-        strides[i] = acc
-        acc *= shape[i]
-    vals = [1 if a in atoms_in_E else 0 for a in flat]
-    for axis in range(n):
-        stride = strides[axis]
-        block = stride * shape[axis]
-        for base in range(0, len(vals), block):
-            for off in range(stride):
-                idx = base + off + stride
-                while idx < base + block:
-                    vals[idx] += vals[idx - stride]
-                    idx += stride
+def _orbit_halo(grid: list[int], shape: list[int], atoms_in_E: set[int], p: int, q: int) -> set[int]:
+    """Halo atoms of the orbit laid out row-major in `grid` with this shape."""
+    n = len(shape)
+    orbit_size = len(set(grid))
+    vals = [1 if a in atoms_in_E else 0 for a in grid]
+    vol_bound = (q * (1 << n) * sum(vals) + p - 1) // p  # vol < bound suffices
+    covered: set[int] = set()
 
-    def rect_sum(lo_idx, hi_idx):
-        total = 0
-        for corner in _cartesian(*((0, 1) for _ in range(n))):
-            idx = 0
-            sign = 1
-            skip = False
-            for i, c in enumerate(corner):
-                if c:
-                    idx += hi_idx[i] * strides[i]
-                else:
-                    if lo_idx[i] == 0:
-                        skip = True
-                        break
-                    idx += (lo_idx[i] - 1) * strides[i]
-                    sign = -sign
-            if not skip:
-                total += sign * vals[idx]
-        return total
-
-    def boxes(axis: int, los: list[int], his: list[int], vol: int) -> bool:
-        if axis == n:
-            lo_idx = [arms[i] - los[i] for i in range(n)]
-            hi_idx = [arms[i] + his[i] for i in range(n)]
-            return q * rect_sum(lo_idx, hi_idx) > p * vol
-        for a in range(arms[axis] + 1):
-            if vol * (a + 1) >= vol_bound:
-                break  # even the one-sided window is too big already
-            for b in range(arms[axis] + 1):
-                grown = vol * (a + b + 1)
-                if grown >= vol_bound:
-                    break
-                los.append(a)
-                his.append(b)
-                hit = boxes(axis + 1, los, his, grown)
-                los.pop()
-                his.pop()
-                if hit:
+    def windows(axis: int, slab: list[int], rows: list[int], vol: int) -> bool:
+        """`slab` sums the grid over `rows`, the window chosen on the axes
+        before `axis`; True once the whole orbit is covered."""
+        if q * max(slab) <= p * vol:
+            return False  # no cell of any extension is dense enough
+        if axis == n - 1:
+            flags = _covered_cyclic([q * c - p * vol for c in slab])
+            cols = list(compress(range(len(slab)), flags))
+            covered.update(grid[r + c] for r in rows for c in cols)
+            return len(covered) == orbit_size
+        Q = shape[axis]
+        inner = len(slab) // Q
+        longest = min(2 * Q - 1, (vol_bound - 1) // vol)
+        for start in range(Q):
+            acc = [0] * inner
+            band: list[int] = []
+            for length in range(1, longest + 1):
+                r = (start + length - 1) % Q * inner
+                acc = list(map(add, acc, slab[r : r + inner]))
+                band.extend(b + r for b in rows)
+                if windows(axis + 1, acc, band, vol * length):
                     return True
         return False
 
-    return boxes(0, [], [], 1)
+    windows(0, vals, [0], 1)
+    return covered
 
 
 def ergodic_halo_measure(system: AtomicSystem, E: MeasurableSet, alpha: Fraction) -> Fraction:

@@ -69,11 +69,21 @@ def atomic_system_to_json_dict(system: AtomicSystem) -> dict:
     }
 
 
+def _parse_mass(m) -> Fraction:
+    """A mass is an integer or a rational string; JSON floats are refused like
+    decimal strings, because 0.1 has no exact binary value."""
+    if isinstance(m, str):
+        return parse_rational(m)
+    if isinstance(m, int) and not isinstance(m, bool):
+        return Fraction(m)
+    raise InputFormatError(f"mass {m!r} must be an integer or a rational string like \"1/2\"")
+
+
 def atomic_system_from_json_dict(data) -> AtomicSystem:
     if not isinstance(data, dict) or not {"masses", "dim", "generators"} <= set(data):
         raise InputFormatError('system JSON needs "masses", "dim" and "generators"')
     try:
-        masses = tuple(parse_rational(m) if isinstance(m, str) else Fraction(m) for m in data["masses"])
+        masses = tuple(_parse_mass(m) for m in data["masses"])
         dim = int(data["dim"])
         generators = tuple(tuple(int(i) for i in g) for g in data["generators"])
     except (TypeError, ValueError) as exc:
@@ -192,5 +202,8 @@ def build_manifest(
 def write_with_manifest(path, content: str, manifest: dict) -> None:
     """Write an output file and its manifest sidecar <path>.manifest.json."""
     out = Path(path)
-    out.write_text(content)
-    Path(str(out) + ".manifest.json").write_text(dumps_deterministic(manifest))
+    try:
+        out.write_text(content)
+        Path(str(out) + ".manifest.json").write_text(dumps_deterministic(manifest))
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {path}: {exc}") from exc

@@ -84,6 +84,13 @@ class TestHalo:
         lines = out_file.read_text().strip().split("\n")
         assert len(lines) == 1 + 64 + 1
 
+    def test_unwritable_out_exit_2(self, set_file, tmp_path, capsys):
+        out_file = tmp_path / "nodir" / "x.csv"
+        code, _, err = run(["halo", set_file, "--alpha", "1/2", "--out", out_file], capsys)
+        assert code == 2
+        assert err.startswith("input error: cannot write") and err.count("\n") == 1
+        assert not out_file.parent.exists()
+
 
 class TestSweep:
     def test_writes_csv_and_manifest(self, tmp_path, capsys):
@@ -115,6 +122,13 @@ class TestSweep:
             ["sweep", "--grid", "1/2,1/4", "--out", tmp_path / "x.csv"], capsys
         )
         assert code == 3
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        argv = ["sweep", "--grid", "1/2", "--max-block", "4", "--window", "0:3",
+                "--out", tmp_path / "nodir" / "x.csv"]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("input error: cannot write") and err.count("\n") == 1
 
 
 class TestVerify:

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 from taublab.ergodic import (
     AtomicSystem,
     MeasurableSet,
+    ergodic_halo,
     ergodic_halo_measure,
     eval_ergodic_max,
     exact_tauberian,
@@ -14,6 +15,7 @@ from taublab.ergodic import (
     make_torus,
     one_sided_exact_tauberian,
     rokhlin_tower,
+    validate_system,
 )
 
 from oracles import brute_ergodic_max, brute_tower_index
@@ -167,8 +169,6 @@ def test_planar_halo_matches_pointwise_eval():
     g1 = tuple(list(t22.generators[0]) + [x + 4 for x in t31.generators[0]])
     g2 = tuple(list(t22.generators[1]) + [x + 4 for x in t31.generators[1]])
     systems.append(AtomicSystem(masses=(F(1, 7),) * 7, dim=2, generators=(g1, g2)))
-    from taublab.ergodic import ergodic_halo
-
     for system in systems:
         total = system.atom_count
         for _ in range(5):
@@ -177,3 +177,94 @@ def test_planar_halo_matches_pointwise_eval():
             got = set(ergodic_halo(system, E, alpha).atoms)
             want = {a for a in range(total) if eval_ergodic_max(system, E, a) > alpha}
             assert got == want
+
+
+def relabelled(rng, masses, generators):
+    """The system with these generators (index lists), its atoms renamed."""
+    n = len(masses)
+    new = list(range(n))
+    rng.shuffle(new)
+    gens = []
+    for g in generators:
+        h = [0] * n
+        for a in range(n):
+            h[new[a]] = new[g[a]]
+        gens.append(tuple(h))
+    moved = [None] * n
+    for a in range(n):
+        moved[new[a]] = masses[a]
+    return AtomicSystem(masses=tuple(moved), dim=len(gens), generators=tuple(gens))
+
+
+def power_pair(cycle, k):
+    """U_1 the rotation of a cycle, U_2 = U_1^k: one orbit whose period grid
+    folds onto the cycle several times."""
+    return [[(i + 1) % cycle for i in range(cycle)], [(i + k) % cycle for i in range(cycle)]]
+
+
+def skewed_pair(a, b, c):
+    """U_1 (x, y) = (x + 1, y) and U_2 (x, y) = (x + c, y + 1) on Z_a x Z_b."""
+    def cell(x, y):
+        return (x % a) * b + y % b
+
+    coords = [(x, y) for x in range(a) for y in range(b)]
+    return [[cell(x + 1, y) for x, y in coords], [cell(x + c, y + 1) for x, y in coords]]
+
+
+def uniform(generators):
+    """Equal masses on the atoms of these generators."""
+    return [F(1, len(generators[0]))] * len(generators[0]), generators
+
+
+def torus_generators(*sizes):
+    return [list(g) for g in make_torus(*sizes).generators]
+
+
+def disjoint_union(*parts):
+    """Generators side by side; masses 1..k per part, constant on each part."""
+    masses, gens, offset = [], [[] for _ in parts[0]], 0
+    for weight, part in enumerate(parts, start=1):
+        masses += [weight] * len(part[0])
+        for g, piece in zip(gens, part):
+            g.extend(x + offset for x in piece)
+        offset += len(part[0])
+    total = sum(masses)
+    return [F(m, total) for m in masses], gens
+
+
+def brute_halo_atoms(system, atoms, alpha):
+    in_E = set(atoms).__contains__
+    gens = [list(g) for g in system.generators]
+    side = 0
+    for g in gens:  # the longest orbit period minus one bounds every arm
+        for start in range(len(g)):
+            a, period = g[start], 1
+            while a != start:
+                a, period = g[a], period + 1
+            side = max(side, period - 1)
+    return {a for a in range(len(gens[0])) if brute_ergodic_max(gens, a, in_E, side) > alpha}
+
+
+def test_nd_halo_matches_brute_window_scan():
+    """The per-orbit window coverage agrees with a direct window scan where
+    the period grid is not the orbit: 3-D tori, U_2 = U_1^k on one cycle, a
+    skewed generator pair, and disjoint orbits of different masses."""
+    rng = random.Random(59)
+    cases = [
+        uniform(torus_generators(2, 2, 2)), uniform(torus_generators(1, 2, 3)),
+        uniform(power_pair(5, 2)), uniform(power_pair(4, 2)), uniform(power_pair(4, 3)),
+        uniform(skewed_pair(4, 2, 1)), uniform(skewed_pair(2, 2, 1)),
+        disjoint_union(torus_generators(2, 2), power_pair(3, 1), skewed_pair(2, 2, 1)),
+        disjoint_union(torus_generators(3, 1), torus_generators(1, 2)),
+    ]
+    for masses, generators in cases:
+        system = relabelled(rng, masses, generators)
+        assert validate_system(system).ok
+        total = system.atom_count
+        for _ in range(3):
+            atoms = rng.sample(range(total), rng.randint(1, max(1, total // 2)))
+            alpha = F(rng.randint(1, 11), 12)
+            E = MeasurableSet.of(system, atoms)
+            want = brute_halo_atoms(system, atoms, alpha)
+            assert set(ergodic_halo(system, E, alpha).atoms) == want
+            assert ergodic_halo_measure(system, E, alpha) == sum(system.masses[a] for a in want)

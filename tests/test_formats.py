@@ -60,6 +60,18 @@ def test_system_round_trip():
     assert validate_system(back).ok
 
 
+def test_system_masses_reject_json_floats():
+    """0.5 and 0.1 are both refused as masses, not only the one whose binary
+    value misses the sum; integers and rational strings are read exactly."""
+    for masses in ([0.5, 0.5], [0.1, 0.9], [True]):
+        data = {"masses": masses, "dim": 1, "generators": [list(range(len(masses)))]}
+        with pytest.raises(InputFormatError, match="integer or a rational string"):
+            atomic_system_from_json_dict(data)
+    ok = atomic_system_from_json_dict({"masses": ["1/3", "2/3"], "dim": 1, "generators": [[0, 1]]})
+    assert ok.masses == (F(1, 3), F(2, 3))
+    assert atomic_system_from_json_dict({"masses": [1], "dim": 1, "generators": [[0]]}).masses == (1,)
+
+
 def test_system_wire_masses_are_rational_strings():
     data = atomic_system_to_json_dict(make_cyclic(4))
     assert all(isinstance(m, str) for m in data["masses"])
