@@ -16,7 +16,6 @@ from .lattice import (
     HaloSet,
     IntBox,
     LatticeSet,
-    box_lattice_count,
     eval_strong_max,
     exceeds,
     halo,

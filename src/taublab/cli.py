@@ -22,6 +22,7 @@ from fractions import Fraction
 from . import __version__
 from .errors import DomainError, InputFormatError
 from .ergodic import (
+    AtomicSystem,
     MeasurableSet,
     exact_tauberian,
     ergodic_halo_measure,
@@ -184,7 +185,7 @@ def _verify_example1(checks: _Checks, params):
 
 
 def _verify_jump(checks: _Checks, params):
-    n = int(params[0]) if params else 3
+    n = params[0] if params else 3
     if n < 2 or n > 10:
         raise DomainError("jump scenario takes a cycle length between 2 and 10")
     system = make_cyclic(n)
@@ -213,14 +214,12 @@ def _verify_jump(checks: _Checks, params):
 
 
 def _verify_index_collapse(checks: _Checks, params):
-    rng = random.Random(int(params[0]) if params else 20240901)
+    rng = random.Random(params[0] if params else 20240901)
     for trial in range(10):
         k = rng.randint(1, 6)
         weights = [rng.randint(1, 5) for _ in range(k)]
         total = sum(weights)
         masses = tuple(Fraction(w, total) for w in weights)
-        from .ergodic import AtomicSystem
-
         system = AtomicSystem(masses=masses, dim=1, generators=(tuple(range(k)),))
         idx = index(system)
         checks.check(f"identity on {k} atoms has index 1", idx.value == 1)
@@ -232,8 +231,8 @@ def _verify_index_collapse(checks: _Checks, params):
 
 
 def _verify_transfer(checks: _Checks, params):
-    rng = random.Random(int(params[0]) if params else 7)
-    count = int(params[1]) if len(params) > 1 else 20
+    rng = random.Random(params[0] if params else 7)
+    count = params[1] if len(params) > 1 else 20
     for trial in range(count):
         pts = sorted(rng.sample(range(0, 13), rng.randint(1, 6)))
         E = LatticeSet.from_points([(x,) for x in pts])
@@ -257,8 +256,8 @@ def _verify_transfer(checks: _Checks, params):
 
 
 def _verify_one_sided(checks: _Checks, params):
-    rng = random.Random(int(params[0]) if params else 11)
-    count = int(params[1]) if len(params) > 1 else 100
+    rng = random.Random(params[0] if params else 11)
+    count = params[1] if len(params) > 1 else 100
     for _ in range(count):
         pts = sorted(rng.sample(range(-8, 9), rng.randint(1, 7)))
         E = LatticeSet.from_points([(x,) for x in pts])
@@ -286,8 +285,8 @@ def _verify_one_sided(checks: _Checks, params):
 
 
 def _verify_ceiling_1d(checks: _Checks, params):
-    rng = random.Random(int(params[0]) if params else 5)
-    count = int(params[1]) if len(params) > 1 else 500
+    rng = random.Random(params[0] if params else 5)
+    count = params[1] if len(params) > 1 else 500
     worst = Fraction(0)
     for _ in range(count):
         pts = sorted(rng.sample(range(-12, 13), rng.randint(1, 10)))
@@ -325,8 +324,12 @@ def cmd_verify(args, argv) -> int:
         raise DomainError(
             f"unknown scenario {args.scenario!r}; choose from {sorted(_SCENARIOS)}"
         )
+    try:
+        params = [int(text) for text in args.params]
+    except ValueError as exc:
+        raise InputFormatError(f"scenario parameters must be integers: {exc}") from exc
     checks = _Checks()
-    _SCENARIOS[args.scenario](checks, args.params)
+    _SCENARIOS[args.scenario](checks, params)
     if checks.failures:
         print(f"{checks.failures} check(s) FAILED")
         return 1

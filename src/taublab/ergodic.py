@@ -34,8 +34,8 @@ import random
 
 from .errors import DomainError
 from .estimate import TauberianEstimate
-from .lattice import LatticeSet, halo as lattice_halo, halo_ratio as lattice_halo_ratio
-from .rational import require_alpha
+from .lattice import LatticeSet, halo as lattice_halo
+from .rational import LexMax, require_alpha
 
 EXHAUSTIVE_ATOM_LIMIT = 20
 
@@ -52,18 +52,12 @@ class AtomicSystem:
     def atom_count(self) -> int:
         return len(self.masses)
 
-    def mass(self, atom: int) -> Fraction:
-        return self.masses[atom]
-
 
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
     problem: str | None = None
     atoms: tuple[int, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def validate_system(system: AtomicSystem) -> ValidationReport:
@@ -244,11 +238,15 @@ def _axis_line(system: AtomicSystem, atom: int, axis: int, back: int, fwd: int) 
     return line
 
 
-def _check_eval_args(system: AtomicSystem, E: MeasurableSet, atom: int):
+def _check_set(system: AtomicSystem, E: MeasurableSet):
     if E.system != system:
         raise DomainError("set belongs to a different system")
     if len(E) == 0:
         raise DomainError("ergodic maximal operators need a nonempty set")
+
+
+def _check_eval_args(system: AtomicSystem, E: MeasurableSet, atom: int):
+    _check_set(system, E)
     if not (0 <= atom < system.atom_count):
         raise DomainError("atom index out of range")
 
@@ -396,10 +394,7 @@ def _covered_cyclic(w: list[int]) -> list[bool]:
 def ergodic_halo(system: AtomicSystem, E: MeasurableSet, alpha: Fraction) -> MeasurableSet:
     """Atoms whose ergodic maximal value strictly exceeds alpha."""
     alpha = require_alpha(alpha)
-    if E.system != system:
-        raise DomainError("set belongs to a different system")
-    if len(E) == 0:
-        raise DomainError("ergodic maximal operators need a nonempty set")
+    _check_set(system, E)
     if system.dim == 1:
         return MeasurableSet.of(system, _halo_atoms_1d(system, set(E.atoms), alpha))
     return MeasurableSet.of(system, _halo_atoms_nd(system, set(E.atoms), alpha))
@@ -502,19 +497,15 @@ def _subset_ratio(system: AtomicSystem, atoms: tuple[int, ...], alpha: Fraction,
 
 def _exhaustive_tauberian(system: AtomicSystem, alpha: Fraction, one_sided: bool) -> TauberianEstimate:
     n = system.atom_count
-    best_value: Fraction | None = None
-    best_witness: tuple[int, ...] | None = None
+    best = LexMax()
     for mask in range(1, 1 << n):
         atoms = tuple(i for i in range(n) if mask >> i & 1)
         ratio = _subset_ratio(system, atoms, alpha, one_sided)
-        if best_value is None or ratio > best_value or (
-            ratio == best_value and atoms < best_witness
-        ):
-            best_value, best_witness = ratio, atoms
+        best.offer(ratio.numerator, ratio.denominator, atoms)
     return TauberianEstimate(
         alpha=alpha,
-        value=best_value,
-        witness=best_witness,
+        value=best.value,
+        witness=best.key,
         strategy="exhaustive-subsets",
         mode="exact",
     )
@@ -547,18 +538,16 @@ def _heuristic_tauberian(
     for a in range(min(n, 32)):
         seeds.append(tuple(i for i in range(n) if i != a))
 
-    best_value = Fraction(0)
-    best_witness: tuple[int, ...] = ()
+    best = LexMax()
     for s in seeds:
         if not s:
             continue
         r = ratio_of(s)
-        if r > best_value or (r == best_value and (not best_witness or s < best_witness)):
-            best_value, best_witness = r, s
+        best.offer(r.numerator, r.denominator, s)
 
     rng = random.Random(rng_seed)
-    current = best_witness
-    current_value = best_value
+    current = best.key
+    current_value = best.value
     while evals < budget:
         move_atom = rng.randrange(n)
         atoms = set(current)
@@ -572,14 +561,14 @@ def _heuristic_tauberian(
         r = ratio_of(cand)
         if r > current_value:
             current, current_value = cand, r
-            if r > best_value:
-                best_value, best_witness = r, cand
+            if r > best.value:  # strictly: the climb takes no witness ties
+                best.offer(r.numerator, r.denominator, cand)
         elif r == current_value and cand < current:
             current = cand
     return TauberianEstimate(
         alpha=alpha,
-        value=best_value,
-        witness=best_witness,
+        value=best.value,
+        witness=best.key,
         strategy="subset-local-search",
         mode="heuristic",
     )
@@ -790,10 +779,7 @@ def one_sided_ergodic_halo(system: AtomicSystem, E: MeasurableSet, alpha: Fracti
     alpha = require_alpha(alpha)
     if system.dim != 1:
         raise DomainError("one-sided ergodic operators take a single transformation")
-    if E.system != system:
-        raise DomainError("set belongs to a different system")
-    if len(E) == 0:
-        raise DomainError("ergodic maximal operators need a nonempty set")
+    _check_set(system, E)
     p, q = alpha.numerator, alpha.denominator
     atoms_in_E = set(E.atoms)
     members: list[int] = []

@@ -1,4 +1,4 @@
-"""Wire formats: JSON for sets and systems, CSV for halos and sweeps.
+"""Wire formats: JSON for lattice sets, JSON and CSV for halos and sweeps.
 
 Rationals travel as lowest-terms "p/q" strings.  Decimal columns in CSV
 output are a plotting convenience only and are never read back.  All writers
@@ -14,10 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import InputFormatError
-from .ergodic import AtomicSystem
-from .estimate import TauberianEstimate
 from .lattice import HaloSet, LatticeSet
-from .rational import format_rational, parse_rational
+from .rational import format_rational
 from .search import SweepResult
 
 
@@ -28,13 +26,20 @@ def lattice_set_to_json_dict(E: LatticeSet) -> dict:
     return {"dim": E.dim, "points": [list(p) for p in E.points]}
 
 
+def _json_int(value) -> int:
+    """A JSON integer; floats and booleans are refused, not truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputFormatError(f"lattice set dim and coordinates must be JSON integers, got {value!r}")
+
+
 def lattice_set_from_json_dict(data) -> LatticeSet:
     if not isinstance(data, dict) or "dim" not in data or "points" not in data:
         raise InputFormatError('lattice set JSON needs "dim" and "points"')
     try:
-        dim = int(data["dim"])
-        points = [tuple(int(c) for c in p) for p in data["points"]]
-    except (TypeError, ValueError) as exc:
+        dim = _json_int(data["dim"])
+        points = [tuple(_json_int(c) for c in p) for p in data["points"]]
+    except TypeError as exc:
         raise InputFormatError(f"malformed lattice set JSON: {exc}") from exc
     try:
         return LatticeSet.from_points(points, dim=dim)
@@ -56,53 +61,6 @@ def load_lattice_set(path) -> LatticeSet:
 
 def save_lattice_set(E: LatticeSet, path) -> None:
     Path(path).write_text(dumps_deterministic(lattice_set_to_json_dict(E)))
-
-
-# -- atomic systems ---------------------------------------------------------
-
-
-def atomic_system_to_json_dict(system: AtomicSystem) -> dict:
-    return {
-        "masses": [format_rational(m) for m in system.masses],
-        "dim": system.dim,
-        "generators": [list(g) for g in system.generators],
-    }
-
-
-def _parse_mass(m) -> Fraction:
-    """A mass is an integer or a rational string; JSON floats are refused like
-    decimal strings, because 0.1 has no exact binary value."""
-    if isinstance(m, str):
-        return parse_rational(m)
-    if isinstance(m, int) and not isinstance(m, bool):
-        return Fraction(m)
-    raise InputFormatError(f"mass {m!r} must be an integer or a rational string like \"1/2\"")
-
-
-def atomic_system_from_json_dict(data) -> AtomicSystem:
-    if not isinstance(data, dict) or not {"masses", "dim", "generators"} <= set(data):
-        raise InputFormatError('system JSON needs "masses", "dim" and "generators"')
-    try:
-        masses = tuple(_parse_mass(m) for m in data["masses"])
-        dim = int(data["dim"])
-        generators = tuple(tuple(int(i) for i in g) for g in data["generators"])
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"malformed system JSON: {exc}") from exc
-    return AtomicSystem(masses=masses, dim=dim, generators=generators)
-
-
-def load_atomic_system(path) -> AtomicSystem:
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
-    return atomic_system_from_json_dict(data)
-
-
-def save_atomic_system(system: AtomicSystem, path) -> None:
-    Path(path).write_text(dumps_deterministic(atomic_system_to_json_dict(system)))
 
 
 # -- halos ------------------------------------------------------------------
@@ -164,10 +122,6 @@ def sweep_to_csv(result: SweepResult) -> str:
 
 def sweep_to_json(result: SweepResult) -> str:
     return dumps_deterministic(result.to_json_dict())
-
-
-def estimate_to_json(est: TauberianEstimate) -> str:
-    return dumps_deterministic(est.to_json_dict())
 
 
 # -- manifests --------------------------------------------------------------

@@ -26,7 +26,7 @@ from itertools import product as _cartesian
 
 from .errors import DomainError
 from .estimate import TauberianEstimate
-from .rational import require_alpha
+from .rational import LexMax, require_alpha
 
 Point = tuple[int, ...]
 
@@ -125,19 +125,11 @@ class IntBox:
     def dim(self) -> int:
         return len(self.lo)
 
-    def contains(self, point) -> bool:
-        return all(a <= c <= b for a, c, b in zip(self.lo, point, self.hi))
-
     def lattice_count(self) -> int:
         n = 1
         for a, b in zip(self.lo, self.hi):
             n *= b - a + 1
         return n
-
-
-def box_lattice_count(box: IntBox) -> int:
-    """Number of lattice points inside the box."""
-    return box.lattice_count()
 
 
 @dataclass(frozen=True)
@@ -160,6 +152,32 @@ class HaloSet:
 # ---------------------------------------------------------------------------
 
 
+def _line_weights(E: LatticeSet, p: int, q: int) -> tuple[int, int, list[int]]:
+    """(lo, hi, weights) for a 1-D set: q - p on E and -p elsewhere on [lo, hi]."""
+    xs = [pt[0] for pt in E.points]
+    lo, hi = xs[0], xs[-1]
+    weights = [-p] * (hi - lo + 1)
+    for x in xs:
+        weights[x - lo] = q - p
+    return lo, hi, weights
+
+
+def _prefix_and_best_end(weights: list[int]) -> tuple[list[int], list[int]]:
+    """Prefix sums of the weights, and suff_max[i] = max(prefix[i + 1:]), the
+    best end of a run that reaches cell i."""
+    n = len(weights)
+    prefix = [0] * (n + 1)
+    for i, w in enumerate(weights):
+        prefix[i + 1] = prefix[i] + w
+    suff_max = [0] * n
+    running = prefix[n]
+    for i in range(n - 1, -1, -1):
+        if prefix[i + 1] > running:
+            running = prefix[i + 1]
+        suff_max[i] = running
+    return prefix, suff_max
+
+
 def _covered_segments(weights: list[int], penalty: int):
     """Return (flags, left_reach, right_reach).
 
@@ -172,24 +190,16 @@ def _covered_segments(weights: list[int], penalty: int):
     range pinned to that edge still has total > penalty * t.
     """
     n = len(weights)
-    prefix = [0] * (n + 1)
-    for i, w in enumerate(weights):
-        prefix[i + 1] = prefix[i] + w
-    # best start to the left of each cell, best end to the right
+    prefix, suff_max = _prefix_and_best_end(weights)
+    # best start to the left of each cell
     pref_min = [0] * n
     running = prefix[0]
     for i in range(n):
         if prefix[i] < running:
             running = prefix[i]
         pref_min[i] = running
-    suff_max = [0] * n
-    running = prefix[n]
-    for i in range(n - 1, -1, -1):
-        if prefix[i + 1] > running:
-            running = prefix[i + 1]
-        suff_max[i] = running
     flags = [suff_max[i] - pref_min[i] > 0 for i in range(n)]
-    best_from_left_edge = max(prefix[1:], default=0)  # ranges [span start, d]
+    best_from_left_edge = suff_max[0]  # ranges [span start, d]
     best_to_right_edge = prefix[n] - min(prefix[:n], default=0)  # ranges [j, span end]
     left_reach = (best_from_left_edge - 1) // penalty if best_from_left_edge > 0 else 0
     right_reach = (best_to_right_edge - 1) // penalty if best_to_right_edge > 0 else 0
@@ -245,38 +255,18 @@ def strong_max_witness(E: LatticeSet, m) -> tuple[Fraction, IntBox]:
     together with the lexicographically smallest maximising box."""
     pt = _check_operator_input(E, m)
     if E.dim == 1:
-        return _strong_max_1d(E, pt[0])
-    if E.dim == 2:
-        return _strong_max_2d(E, pt)
-    return _strong_max_nd(E, pt)
+        best = _strong_max_1d(E, pt[0])
+    elif E.dim == 2:
+        best = _strong_max_2d(E, pt)
+    else:
+        best = _strong_max_nd(E, pt)
+    lo, hi = best.key
+    return best.value, IntBox(lo=lo, hi=hi)
 
 
 def eval_strong_max(E: LatticeSet, m) -> Fraction:
     """sup over integer boxes containing m of #(E in box) / #box, exactly."""
     return strong_max_witness(E, m)[0]
-
-
-class _BestBox:
-    """Keeps the maximum density with lexicographic (lo, hi) tie-break."""
-
-    __slots__ = ("num", "den", "key")
-
-    def __init__(self):
-        self.num = -1
-        self.den = 1
-        self.key = None
-
-    def offer(self, num: int, den: int, lo: Point, hi: Point):
-        lhs = num * self.den
-        rhs = self.num * den
-        if lhs > rhs:
-            self.num, self.den, self.key = num, den, (lo, hi)
-        elif lhs == rhs and self.key is not None and (lo, hi) < self.key:
-            self.key = (lo, hi)
-
-    def result(self) -> tuple[Fraction, IntBox]:
-        lo, hi = self.key
-        return Fraction(self.num, self.den), IntBox(lo=lo, hi=hi)
 
 
 def _axis_candidates(coords: list[int], v: int) -> tuple[list[int], list[int]]:
@@ -285,19 +275,20 @@ def _axis_candidates(coords: list[int], v: int) -> tuple[list[int], list[int]]:
     return los, his
 
 
-def _strong_max_1d(E: LatticeSet, m: int) -> tuple[Fraction, IntBox]:
+def _strong_max_1d(E: LatticeSet, m: int) -> LexMax:
+    """Best density over boxes [lo, hi] containing m, keyed by (lo, hi)."""
     xs = [p[0] for p in E.points]
     los, his = _axis_candidates(xs, m)
-    best = _BestBox()
+    best = LexMax()
     for lo in los:
         cl = bisect_left(xs, lo)
         for hi in his:
             cnt = bisect_right(xs, hi) - cl
-            best.offer(cnt, hi - lo + 1, (lo,), (hi,))
-    return best.result()
+            best.offer(cnt, hi - lo + 1, ((lo,), (hi,)))
+    return best
 
 
-def _strong_max_2d(E: LatticeSet, m: Point) -> tuple[Fraction, IntBox]:
+def _strong_max_2d(E: LatticeSet, m: Point) -> LexMax:
     rows = sorted({p[0] for p in E.points})
     cols = sorted({p[1] for p in E.points})
     col_index = {c: i for i, c in enumerate(cols)}
@@ -307,7 +298,7 @@ def _strong_max_2d(E: LatticeSet, m: Point) -> tuple[Fraction, IntBox]:
     row_los, row_his = _axis_candidates(rows, m[0])
     col_los, col_his = _axis_candidates(cols, m[1])
     nc = len(cols)
-    best = _BestBox()
+    best = LexMax()
     for a in row_los:
         for b in row_his:
             if b < a:
@@ -327,22 +318,22 @@ def _strong_max_2d(E: LatticeSet, m: Point) -> tuple[Fraction, IntBox]:
                     if hi2 < lo2:
                         continue
                     cnt = prefix[bisect_right(cols, hi2)] - prefix[cl]
-                    best.offer(cnt, h * (hi2 - lo2 + 1), (a, lo2), (b, hi2))
-    return best.result()
+                    best.offer(cnt, h * (hi2 - lo2 + 1), ((a, lo2), (b, hi2)))
+    return best
 
 
-def _strong_max_nd(E: LatticeSet, m: Point) -> tuple[Fraction, IntBox]:
+def _strong_max_nd(E: LatticeSet, m: Point) -> LexMax:
     n = E.dim
     cand = [_axis_candidates(sorted({p[i] for p in E.points}), m[i]) for i in range(n)]
-    best = _BestBox()
+    best = LexMax()
     for lo in _cartesian(*(c[0] for c in cand)):
         for hi in _cartesian(*(c[1] for c in cand)):
             vol = 1
             for a, b in zip(lo, hi):
                 vol *= b - a + 1
             cnt = sum(1 for p in E.points if all(a <= c <= b for a, c, b in zip(lo, p, hi)))
-            best.offer(cnt, vol, lo, hi)
-    return best.result()
+            best.offer(cnt, vol, (lo, hi))
+    return best
 
 
 def exceeds(E: LatticeSet, m, alpha: Fraction) -> bool:
@@ -384,12 +375,7 @@ def halo_ratio(E: LatticeSet, alpha: Fraction) -> Fraction:
 
 
 def _halo_1d(E: LatticeSet, p: int, q: int) -> LatticeSet:
-    xs = [pt[0] for pt in E.points]
-    lo, hi = xs[0], xs[-1]
-    span = hi - lo + 1
-    weights = [-p] * span
-    for x in xs:
-        weights[x - lo] = q - p
+    lo, hi, weights = _line_weights(E, p, q)
     flags, left, right = _covered_segments(weights, p)
     pts = [(lo - t,) for t in range(left, 0, -1)]
     pts += [(lo + i,) for i, f in enumerate(flags) if f]
@@ -416,65 +402,43 @@ def _halo_2d(E: LatticeSet, p: int, q: int) -> LatticeSet:
 
     cover: dict[int, list[tuple[int, int]]] = {}
 
-    def mark(row: int, flags, left: int, right: int):
+    def mark(rows, weights: list[int], penalty: int) -> bool:
+        """Add the columns of the positive runs of the weights to every row;
+        False when no span cell lies in a positive run."""
+        flags, left, right = _covered_segments(weights, penalty)
+        if not any(flags):
+            return False
         intervals = _flags_to_intervals(flags, c_lo)
         if left:
             intervals.append((c_lo - left, c_lo - 1))
         if right:
             intervals.append((c_hi + 1, c_hi + right))
-        if intervals:
-            cover.setdefault(row, []).extend(intervals)
+        for r in rows:
+            cover.setdefault(r, []).extend(intervals)
+        return True
 
     # boxes whose rows stay inside the row band of E
     for ai in range(H):
         top = cum[ai]
         for bi in range(ai, H):
             bot = cum[bi + 1]
-            h = bi - ai + 1
-            ph = p * h
+            ph = p * (bi - ai + 1)
             weights = [q * (bot[c] - top[c]) - ph for c in range(C)]
-            flags, left, right = _covered_segments(weights, ph)
-            if not any(flags):
-                continue
-            intervals = _flags_to_intervals(flags, c_lo)
-            if left:
-                intervals.append((c_lo - left, c_lo - 1))
-            if right:
-                intervals.append((c_hi + 1, c_hi + right))
-            for r in range(r_lo + ai, r_lo + bi + 1):
-                cover.setdefault(r, []).extend(intervals)
+            mark(range(r_lo + ai, r_lo + bi + 1), weights, ph)
 
-    # boxes sticking out above the row band cover rows r_hi + t; their in-band
-    # part is [a, r_hi] and each empty extension row costs p per cell
-    for ai in range(H):
-        top = cum[ai]
-        bot = cum[H]
-        h0 = H - ai
-        base = [q * (bot[c] - top[c]) for c in range(C)]
-        t = 1
-        while True:
-            ph = p * (h0 + t)
-            weights = [base[c] - ph for c in range(C)]
-            flags, left, right = _covered_segments(weights, ph)
-            if not any(flags):
-                break
-            mark(r_hi + t, flags, left, right)
-            t += 1
-
-    # boxes sticking out below the row band, symmetric
-    for bi in range(H):
-        bot = cum[bi + 1]
-        h0 = bi + 1
-        base = [q * bot[c] for c in range(C)]
-        t = 1
-        while True:
-            ph = p * (h0 + t)
-            weights = [base[c] - ph for c in range(C)]
-            flags, left, right = _covered_segments(weights, ph)
-            if not any(flags):
-                break
-            mark(r_lo - t, flags, left, right)
-            t += 1
+    # boxes sticking out of the row band cover rows r_hi + t (in-band part
+    # [r_lo + k, r_hi]) or r_lo - t (in-band part [r_lo, r_lo + k]); each empty
+    # extension row costs p per cell
+    for k in range(H):
+        above = [q * (cum[H][c] - cum[k][c]) for c in range(C)]
+        below = [q * cum[k + 1][c] for c in range(C)]
+        for base, h0, edge, step in ((above, H - k, r_hi, 1), (below, k + 1, r_lo, -1)):
+            t = 1
+            while True:
+                ph = p * (h0 + t)
+                if not mark((edge + step * t,), [b - ph for b in base], ph):
+                    break
+                t += 1
 
     pts = []
     for row, intervals in cover.items():
@@ -553,24 +517,11 @@ def one_sided_halo(E: LatticeSet, alpha: Fraction) -> HaloSet:
     alpha = require_alpha(alpha)
     _check_one_sided(E)
     p, q = alpha.numerator, alpha.denominator
-    xs = [pt[0] for pt in E.points]
-    lo, hi = xs[0], xs[-1]
-    span = hi - lo + 1
-    weights = [-p] * span
-    for x in xs:
-        weights[x - lo] = q - p
-    prefix = [0] * (span + 1)
-    for i, w in enumerate(weights):
-        prefix[i + 1] = prefix[i] + w
-    suff_max = [0] * span
-    running = prefix[span]
-    for i in range(span - 1, -1, -1):
-        if prefix[i + 1] > running:
-            running = prefix[i + 1]
-        suff_max[i] = running
-    flags = [suff_max[i] - prefix[i] > 0 for i in range(span)]
-    best_from_left = max(prefix[1:], default=0)
-    left = (best_from_left - 1) // p if best_from_left > 0 else 0
+    lo, _, weights = _line_weights(E, p, q)
+    prefix, suff_max = _prefix_and_best_end(weights)
+    # a forward window starts at its own cell i
+    flags = [suff_max[i] - prefix[i] > 0 for i in range(len(weights))]
+    left = (suff_max[0] - 1) // p if suff_max[0] > 0 else 0  # runs [lo, d] reach left
     pts = [(lo - t,) for t in range(left, 0, -1)]
     pts += [(lo + i,) for i, f in enumerate(flags) if f]
     members = LatticeSet(dim=1, points=tuple(pts))

@@ -57,3 +57,29 @@ def require_alpha(alpha: Fraction) -> Fraction:
     if not (0 < alpha < 1):
         raise DomainError(f"threshold must lie strictly inside (0, 1), got {alpha}")
     return alpha
+
+
+class LexMax:
+    """The largest ratio num/den offered (num >= 0, den > 0), compared by
+    integer cross-multiplication, and among equal ratios the least key.
+
+    Every certified maximum in the package reports its lexicographically least
+    witness through this one rule.
+    """
+
+    __slots__ = ("num", "den", "key")
+
+    def __init__(self):
+        self.num = -1
+        self.den = 1
+        self.key = None
+
+    def offer(self, num: int, den: int, key) -> None:
+        lhs = num * self.den
+        rhs = self.num * den
+        if lhs > rhs or (lhs == rhs and key < self.key):
+            self.num, self.den, self.key = num, den, key
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.num, self.den)

@@ -12,10 +12,8 @@ one-dimensional ceilings, 2/alpha - 1 (two-sided) and 1/alpha (one-sided).
 from __future__ import annotations
 
 import math
-import os
 import random
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
@@ -29,31 +27,12 @@ from .lattice import (
     one_sided_halo_ratio,
     product_witness,
 )
-from .rational import require_alpha
+from .rational import LexMax, require_alpha
 
 EXHAUSTIVE_WINDOW_LIMIT = 24
 
 STRATEGIES = ("exhaustive", "interval-family", "box-family", "product-family",
               "staircase-family", "anneal")
-
-
-def thread_count() -> int:
-    """Worker cap from TAUBLAB_THREADS; 1 (serial) when unset."""
-    raw = os.environ.get("TAUBLAB_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def _map_ordered(fn, items):
-    items = list(items)
-    workers = thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -79,12 +58,6 @@ class SearchConfig:
         if self.one_sided and self.dim != 1:
             raise DomainError("one-sided searches are 1-D only")
 
-    def window_cardinality(self) -> int:
-        n = 1
-        for lo, hi in self.window:
-            n *= hi - lo + 1
-        return n
-
     def window_points(self) -> list[tuple[int, ...]]:
         return list(_cartesian(*(range(lo, hi + 1) for lo, hi in self.window)))
 
@@ -105,30 +78,20 @@ def _ratio(E: LatticeSet, alpha: Fraction, one_sided: bool) -> Fraction:
     return one_sided_halo_ratio(E, alpha) if one_sided else halo_ratio(E, alpha)
 
 
-def _certify(E: LatticeSet, alpha: Fraction, strategy: str, mode: str, one_sided: bool) -> TauberianEstimate:
+def _offer(best: LexMax, value: Fraction, E: LatticeSet):
+    """Offer a set's ratio, keyed by its points, so ties go to the
+    lexicographically least witness."""
+    best.offer(value.numerator, value.denominator, E.points)
+
+
+def _estimate(alpha: Fraction, best: LexMax, dim: int, strategy: str, mode: str) -> TauberianEstimate:
     return TauberianEstimate(
         alpha=alpha,
-        value=_ratio(E, alpha, one_sided),
-        witness=E,
+        value=best.value,
+        witness=LatticeSet(dim=dim, points=best.key),
         strategy=strategy,
         mode=mode,
     )
-
-
-class _Best:
-    """Maximum with lexicographically-least-witness tie-break."""
-
-    def __init__(self):
-        self.value: Fraction | None = None
-        self.witness: LatticeSet | None = None
-
-    def offer(self, value: Fraction, witness: LatticeSet):
-        if (
-            self.value is None
-            or value > self.value
-            or (value == self.value and witness.points < self.witness.points)
-        ):
-            self.value, self.witness = value, witness
 
 
 def exhaustive_search(window, alpha: Fraction, one_sided: bool = False) -> TauberianEstimate:
@@ -152,7 +115,7 @@ def exhaustive_search(window, alpha: Fraction, one_sided: bool = False) -> Taube
     points = list(_cartesian(*(range(lo, hi + 1) for lo, hi in window)))
     lows = tuple(lo for lo, _ in window)
     n = len(window)
-    best = _Best()
+    best = LexMax()
     for mask in range(1, 1 << len(points)):
         chosen = [points[i] for i in range(len(points)) if mask >> i & 1]
         canonical = all(min(p[i] for p in chosen) == lows[i] for i in range(n))
@@ -161,14 +124,8 @@ def exhaustive_search(window, alpha: Fraction, one_sided: bool = False) -> Taube
         E = LatticeSet.from_points(
             tuple(tuple(c - lo for c, lo in zip(p, lows)) for p in chosen)
         )
-        best.offer(_ratio(E, alpha, one_sided), E)
-    return TauberianEstimate(
-        alpha=alpha,
-        value=best.value,
-        witness=best.witness,
-        strategy="exhaustive",
-        mode="exact",
-    )
+        _offer(best, _ratio(E, alpha, one_sided), E)
+    return _estimate(alpha, best, n, "exhaustive", "exact")
 
 
 def _family_members(family: str, dim: int, max_block: int):
@@ -220,16 +177,10 @@ def family_search(
         "products": "product-family",
         "staircases": "staircase-family",
     }
-    best = _Best()
-    for value, E in _map_ordered(lambda E: (_ratio(E, alpha, one_sided), E), members):
-        best.offer(value, E)
-    return TauberianEstimate(
-        alpha=alpha,
-        value=best.value,
-        witness=best.witness,
-        strategy=names.get(family, family),
-        mode="exact",
-    )
+    best = LexMax()
+    for E in members:
+        _offer(best, _ratio(E, alpha, one_sided), E)
+    return _estimate(alpha, best, dim, names.get(family, family), "exact")
 
 
 def _anneal_population(config: SearchConfig) -> list[LatticeSet]:
@@ -261,7 +212,7 @@ def anneal_search(config: SearchConfig, alpha: Fraction) -> TauberianEstimate:
     rng = random.Random(config.rng_seed)
     window_points = config.window_points()
     population = _anneal_population(config)
-    best = _Best()
+    best = LexMax()
     evaluated: dict[tuple, Fraction] = {}
 
     def ratio_of(E: LatticeSet) -> Fraction:
@@ -272,8 +223,8 @@ def anneal_search(config: SearchConfig, alpha: Fraction) -> TauberianEstimate:
         return cached
 
     for E in population:
-        best.offer(ratio_of(E), E)
-    current = best.witness
+        _offer(best, ratio_of(E), E)
+    current = LatticeSet(dim=config.dim, points=best.key)
     current_value = best.value
     temperature = 1.0
     for _ in range(config.budget):
@@ -297,15 +248,9 @@ def anneal_search(config: SearchConfig, alpha: Fraction) -> TauberianEstimate:
             accept = rng.random() < math.exp(-drop / max(temperature, 1e-9))
         if accept:
             current, current_value = candidate, value
-            best.offer(value, candidate)
+            _offer(best, value, candidate)
         temperature *= 0.999
-    return TauberianEstimate(
-        alpha=alpha,
-        value=best.value,
-        witness=best.witness,
-        strategy="anneal",
-        mode="heuristic",
-    )
+    return _estimate(alpha, best, config.dim, "anneal", "heuristic")
 
 
 def run_strategy(config: SearchConfig, alpha: Fraction) -> TauberianEstimate:
@@ -327,9 +272,6 @@ class SweepResult:
     entries: tuple[tuple[Fraction, TauberianEstimate], ...]
     config: SearchConfig
 
-    def alphas(self) -> list[Fraction]:
-        return [a for a, _ in self.entries]
-
     def values(self) -> list[Fraction]:
         return [e.value for _, e in self.entries]
 
@@ -348,30 +290,21 @@ def sweep(alpha_grid, config: SearchConfig) -> SweepResult:
     grid = [require_alpha(a) for a in alpha_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("threshold grid must be strictly increasing")
-    raw = _map_ordered(lambda a: run_strategy(config, a), grid)
+    raw = [run_strategy(config, a) for a in grid]
     witnesses: list[LatticeSet] = []
     seen = set()
     for est in raw:
         if est.witness is not None and est.witness.points not in seen:
             seen.add(est.witness.points)
             witnesses.append(est.witness)
-
-    def envelope_at(pair) -> TauberianEstimate:
-        alpha, base = pair
-        best = _Best()
-        best.offer(base.value, base.witness)
+    entries = []
+    for alpha, base in zip(grid, raw):
+        best = LexMax()
+        _offer(best, base.value, base.witness)
         for w in witnesses:
-            best.offer(_ratio(w, alpha, config.one_sided), w)
-        return TauberianEstimate(
-            alpha=alpha,
-            value=best.value,
-            witness=best.witness,
-            strategy=base.strategy,
-            mode=base.mode,
-        )
-
-    entries = _map_ordered(envelope_at, zip(grid, raw))
-    return SweepResult(entries=tuple(zip(grid, entries)), config=config)
+            _offer(best, _ratio(w, alpha, config.one_sided), w)
+        entries.append((alpha, _estimate(alpha, best, base.witness.dim, base.strategy, base.mode)))
+    return SweepResult(entries=tuple(entries), config=config)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,14 @@ class TestHalo:
         lines = out_file.read_text().strip().split("\n")
         assert len(lines) == 1 + 64 + 1
 
+    def test_non_integer_coordinates_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "floats.json"
+        bad.write_text(json.dumps({"dim": 1, "points": [[0.5], [2.9], [True]]}))
+        code, out, err = run(["halo", bad, "--alpha", "1/2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "JSON integers" in err
+
     def test_unwritable_out_exit_2(self, set_file, tmp_path, capsys):
         out_file = tmp_path / "nodir" / "x.csv"
         code, _, err = run(["halo", set_file, "--alpha", "1/2", "--out", out_file], capsys)
@@ -148,6 +156,13 @@ class TestVerify:
 
     def test_jump_above_limit_exit_3(self, capsys):
         assert run(["verify", "jump", "25"], capsys)[0] == 3
+
+    @pytest.mark.parametrize("scenario", [["jump", "abc"], ["transfer", "7", "x"]])
+    def test_non_integer_parameter_exit_2(self, scenario, capsys):
+        code, out, err = run(["verify"] + scenario, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: scenario parameters must be integers")
 
     def test_failures_exit_1(self, capsys, monkeypatch):
         import taublab.cli as cli

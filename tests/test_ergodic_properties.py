@@ -81,6 +81,47 @@ def test_tauberian_ceiling_dim1():
         assert exact_tauberian(system, alpha).value <= 2 / alpha - 1
 
 
+def test_witness_is_lex_least_maximiser():
+    """On multi-cycle systems with a different mass on each cycle, the exact
+    constant is the best subset ratio, and its witness the least subset that
+    attains it, with halos read off the pointwise operator."""
+    rng = random.Random(43)
+    for _ in range(10):
+        lengths = []
+        while len(lengths) < 2 or (sum(lengths) < 8 and rng.random() < 0.5):
+            lengths.append(rng.randint(1, 8 - sum(lengths) - (len(lengths) == 0)))
+        weights = rng.sample(range(1, 7), len(lengths))
+        labels = list(range(sum(lengths)))
+        rng.shuffle(labels)
+        perm, masses, start = {}, {}, 0
+        for length, w in zip(lengths, weights):
+            cycle = labels[start : start + length]
+            start += length
+            for i, a in enumerate(cycle):
+                perm[a] = cycle[(i + 1) % length]
+                masses[a] = F(w)
+        n = len(labels)
+        mass_sum = sum(masses.values())
+        system = AtomicSystem(
+            masses=tuple(masses[a] / mass_sum for a in range(n)),
+            dim=1,
+            generators=(tuple(perm[a] for a in range(n)),),
+        )
+        assert validate_system(system).ok
+        for alpha in (F(rng.randint(1, 11), 12), F(1, 2)):
+            ratios = {}
+            for mask in range(1, 1 << n):
+                E = MeasurableSet.of(system, [a for a in range(n) if mask >> a & 1])
+                halo_mass = sum(
+                    system.masses[a] for a in range(n) if eval_ergodic_max(system, E, a) > alpha
+                )
+                ratios[E.atoms] = halo_mass / E.measure
+            best = max(ratios.values())
+            est = exact_tauberian(system, alpha)
+            assert est.value == best
+            assert est.witness == min(k for k, v in ratios.items() if v == best)
+
+
 def test_one_sided_ceiling_dim1():
     rng = random.Random(31)
     for _ in range(12):

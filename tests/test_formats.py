@@ -6,11 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from taublab.errors import InputFormatError
-from taublab.ergodic import make_cyclic, make_torus, validate_system
 from taublab.estimate import TauberianEstimate
 from taublab.formats import (
-    atomic_system_from_json_dict,
-    atomic_system_to_json_dict,
     build_manifest,
     dumps_deterministic,
     halo_to_csv,
@@ -41,6 +38,23 @@ def test_lattice_set_malformed():
             lattice_set_from_json_dict(bad)
 
 
+def test_lattice_set_rejects_json_floats_and_booleans(tmp_path):
+    """Coordinates and dim are read only from JSON integers: int() would
+    truncate 0.5 and 2.9 and read true as 1."""
+    path = tmp_path / "set.json"
+    for bad in (
+        {"dim": 1, "points": [[0.5], [2.9], [True]]},
+        {"dim": 1, "points": [[0], [2.0]]},
+        {"dim": 1.9, "points": [[0]]},
+        {"dim": True, "points": [[0]]},
+    ):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(InputFormatError, match="JSON integers"):
+            load_lattice_set(path)
+    path.write_text(json.dumps({"dim": 1, "points": [[0], [-3]]}))
+    assert load_lattice_set(path) == lattice_set([-3, 0])
+
+
 def test_load_rejects_bad_files(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(InputFormatError):
@@ -49,32 +63,6 @@ def test_load_rejects_bad_files(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(InputFormatError):
         load_lattice_set(bad)
-
-
-def test_system_round_trip():
-    system = make_torus(2, 3)
-    data = atomic_system_to_json_dict(system)
-    assert data["masses"][0] == "1/6"
-    back = atomic_system_from_json_dict(data)
-    assert back == system
-    assert validate_system(back).ok
-
-
-def test_system_masses_reject_json_floats():
-    """0.5 and 0.1 are both refused as masses, not only the one whose binary
-    value misses the sum; integers and rational strings are read exactly."""
-    for masses in ([0.5, 0.5], [0.1, 0.9], [True]):
-        data = {"masses": masses, "dim": 1, "generators": [list(range(len(masses)))]}
-        with pytest.raises(InputFormatError, match="integer or a rational string"):
-            atomic_system_from_json_dict(data)
-    ok = atomic_system_from_json_dict({"masses": ["1/3", "2/3"], "dim": 1, "generators": [[0, 1]]})
-    assert ok.masses == (F(1, 3), F(2, 3))
-    assert atomic_system_from_json_dict({"masses": [1], "dim": 1, "generators": [[0]]}).masses == (1,)
-
-
-def test_system_wire_masses_are_rational_strings():
-    data = atomic_system_to_json_dict(make_cyclic(4))
-    assert all(isinstance(m, str) for m in data["masses"])
 
 
 def test_estimate_wire_format():

@@ -14,7 +14,6 @@ from taublab.lattice import (
     HaloSet,
     IntBox,
     LatticeSet,
-    box_lattice_count,
     eval_strong_max,
     exceeds,
     halo,
@@ -35,9 +34,9 @@ def members_1d(h: HaloSet) -> list[int]:
 
 class TestBoxes:
     def test_counts(self):
-        assert box_lattice_count(IntBox(lo=(0,), hi=(0,))) == 1
-        assert box_lattice_count(IntBox(lo=(-1, 0), hi=(1, 2))) == 9
-        assert box_lattice_count(IntBox(lo=(-2,), hi=(3,))) == 6
+        assert IntBox(lo=(0,), hi=(0,)).lattice_count() == 1
+        assert IntBox(lo=(-1, 0), hi=(1, 2)).lattice_count() == 9
+        assert IntBox(lo=(-2,), hi=(3,)).lattice_count() == 6
 
     def test_malformed_box(self):
         with pytest.raises(DomainError):

@@ -15,6 +15,7 @@ from taublab.lattice import (
     one_sided_halo_ratio,
     one_sided_max,
     product_witness,
+    strong_max_witness,
 )
 
 from oracles import brute_strong_max, brute_one_sided_max
@@ -153,6 +154,35 @@ def test_halo_agrees_with_pointwise_eval_3d():
         if eval_strong_max(E, m) > alpha
     }
     assert got == want
+
+
+def brute_lex_least_box(points, m):
+    """Lex-least (lo, hi) among the densest boxes containing m whose faces sit
+    at coordinates of E or of m, by listing every such box."""
+    faces = [sorted({p[i] for p in points} | {m[i]}) for i in range(len(m))]
+    boxes = {}
+    for lo in product(*([c for c in f if c <= v] for f, v in zip(faces, m))):
+        for hi in product(*([c for c in f if c >= v] for f, v in zip(faces, m))):
+            vol = 1
+            for a, b in zip(lo, hi):
+                vol *= b - a + 1
+            cnt = sum(all(a <= c <= b for a, c, b in zip(lo, p, hi)) for p in points)
+            boxes[lo, hi] = F(cnt, vol)
+    best = max(boxes.values())
+    return best, min(key for key, v in boxes.items() if v == best)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_witness_box_is_lex_least_maximiser(dim):
+    rng = random.Random(40 + dim)
+    for _ in range(25):
+        E = LatticeSet.from_points(
+            {tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 5))}
+        )
+        for _ in range(3):
+            m = tuple(rng.randint(-3, 3) for _ in range(dim))
+            value, box = strong_max_witness(E, m)
+            assert (value, (box.lo, box.hi)) == brute_lex_least_box(E.points, m)
 
 
 @given(sets_1d, sets_1d)

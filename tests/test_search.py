@@ -2,6 +2,7 @@
 
 import os
 from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,28 @@ class TestExhaustive:
             exhaustive_search(((0, 24),), F(1, 2))
         with pytest.raises(DomainError):
             exhaustive_search(((0, 4), (0, 4)), F(1, 2))
+
+    @pytest.mark.parametrize(
+        "window,one_sided",
+        [(((0, 5),), False), (((3, 10),), True),
+         (((0, 1), (0, 3)), False), (((-1, 0), (2, 3)), False)],
+    )
+    def test_witness_is_lex_least_maximiser(self, window, one_sided):
+        """Every nonempty subset of the window, moved so its per-axis minima
+        are 0: the densest halo ratio, and among its sets the least points."""
+        points = list(product(*(range(lo, hi + 1) for lo, hi in window)))
+        ratio = one_sided_halo_ratio if one_sided else halo_ratio
+        for alpha in (F(1, 3), F(1, 2), F(3, 5), F(4, 5)):
+            ratios = {}
+            for mask in range(1, 1 << len(points)):
+                chosen = [p for i, p in enumerate(points) if mask >> i & 1]
+                lows = [min(p[i] for p in chosen) for i in range(len(window))]
+                E = LatticeSet.from_points(tuple(c - lo for c, lo in zip(p, lows)) for p in chosen)
+                ratios[E.points] = ratio(E, alpha)
+            best = max(ratios.values())
+            est = exhaustive_search(window, alpha, one_sided=one_sided)
+            assert est.value == best
+            assert est.witness.points == min(k for k, v in ratios.items() if v == best)
 
     @pytest.mark.parametrize("alpha", [F(1, 2), F(2, 3)])
     def test_dominates_families_inside_the_window(self, alpha):
