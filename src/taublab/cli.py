@@ -158,6 +158,13 @@ class _Checks:
             self.failures += 1
 
 
+def _trial_count(params, default: int) -> int:
+    count = params[1] if len(params) > 1 else default
+    if count < 1:
+        raise DomainError(f"the number of random trials must be >= 1, got {count}")
+    return count
+
+
 def _verify_example1(checks: _Checks, params):
     system = make_cyclic(2)
     expected = {
@@ -232,7 +239,7 @@ def _verify_index_collapse(checks: _Checks, params):
 
 def _verify_transfer(checks: _Checks, params):
     rng = random.Random(params[0] if params else 7)
-    count = params[1] if len(params) > 1 else 20
+    count = _trial_count(params, 20)
     for trial in range(count):
         pts = sorted(rng.sample(range(0, 13), rng.randint(1, 6)))
         E = LatticeSet.from_points([(x,) for x in pts])
@@ -257,7 +264,7 @@ def _verify_transfer(checks: _Checks, params):
 
 def _verify_one_sided(checks: _Checks, params):
     rng = random.Random(params[0] if params else 11)
-    count = params[1] if len(params) > 1 else 100
+    count = _trial_count(params, 100)
     for _ in range(count):
         pts = sorted(rng.sample(range(-8, 9), rng.randint(1, 7)))
         E = LatticeSet.from_points([(x,) for x in pts])
@@ -286,7 +293,7 @@ def _verify_one_sided(checks: _Checks, params):
 
 def _verify_ceiling_1d(checks: _Checks, params):
     rng = random.Random(params[0] if params else 5)
-    count = params[1] if len(params) > 1 else 500
+    count = _trial_count(params, 500)
     worst = Fraction(0)
     for _ in range(count):
         pts = sorted(rng.sample(range(-12, 13), rng.randint(1, 10)))

@@ -20,6 +20,13 @@ orbit with its short positive windows, not by evaluating the operator atom
 by atom.  Halos, halo measures, Tauberian ratios and their exhaustive suprema
 over all nonempty atom subsets are computed exactly, with rational
 arithmetic end to end.
+
+Each generator commutes with the others and preserves mass, so it carries the
+halo of E onto the halo of its image: the Tauberian ratio is constant on every
+class of subsets under the group the generators generate.  The exhaustive
+supremum therefore computes one halo per class, and reports as witness the
+lexicographically least sorted atom tuple among all maximising subsets, not
+the class representative.
 """
 
 from __future__ import annotations
@@ -29,13 +36,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress, product as _cartesian
+from math import lcm
 from operator import add
 import random
 
 from .errors import DomainError
 from .estimate import TauberianEstimate
 from .lattice import LatticeSet, halo as lattice_halo
-from .rational import LexMax, require_alpha
+from .rational import LexMax, require_alpha, require_integers
 
 EXHAUSTIVE_ATOM_LIMIT = 20
 
@@ -157,8 +165,8 @@ class MeasurableSet:
 
     @classmethod
     def of(cls, system: AtomicSystem, atoms) -> "MeasurableSet":
-        atom_tuple = tuple(sorted({int(a) for a in atoms}))
-        if any(a < 0 or a >= system.atom_count for a in atom_tuple):
+        atom_tuple = tuple(sorted(set(require_integers(atoms, "atoms"))))
+        if atom_tuple and (atom_tuple[0] < 0 or atom_tuple[-1] >= system.atom_count):
             raise DomainError("atom index out of range")
         return cls(system=system, atoms=atom_tuple)
 
@@ -213,7 +221,7 @@ def _cycle_length_of(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 def apply_power(system: AtomicSystem, atom: int, exponents) -> int:
     """U_1^{j_1} ... U_n^{j_n} applied to an atom."""
-    exps = tuple(int(e) for e in exponents)
+    exps = require_integers(exponents, "exponents")
     if len(exps) != system.dim:
         raise DomainError("exponent vector dimension mismatch")
     for axis, e in enumerate(exps):
@@ -495,13 +503,68 @@ def _subset_ratio(system: AtomicSystem, atoms: tuple[int, ...], alpha: Fraction,
     return measure / E.measure
 
 
+def _byte_tables(n: int, empty, unit) -> list[list]:
+    """For each 8-atom chunk of an n-atom mask, the table indexed by that
+    byte: entry b is the sum, from `empty`, of `unit(a)` over the atoms a
+    whose bits b holds."""
+    tables = []
+    for start in range(0, n, 8):
+        table = [empty] * (1 << min(8, n - start))
+        for b in range(1, len(table)):
+            top = b.bit_length() - 1  # added last, so tuples come out sorted
+            table[b] = table[b ^ 1 << top] + unit(start + top)
+        tables.append(table)
+    return tables
+
+
 def _exhaustive_tauberian(system: AtomicSystem, alpha: Fraction, one_sided: bool) -> TauberianEstimate:
+    """One halo per class of subsets under the group the generators generate.
+
+    Masks are walked in increasing order; an unseen mask represents a new
+    class, which is closed under the generators and marked seen.  Halo
+    measure over set measure is constant on a class, so only the
+    representative's halo is computed, scored with integer atom weights over
+    the common denominator of the masses.  A class that ties or beats the
+    best ratio so far offers the least sorted atom tuple among its members,
+    which keeps the witness the least maximiser over all subsets.
+    """
     n = system.atom_count
+    halo_of = one_sided_ergodic_halo if one_sided else ergodic_halo
+    denom = lcm(*(m.denominator for m in system.masses))
+    weight = [m.numerator * (denom // m.denominator) for m in system.masses]
+    atoms_of = _byte_tables(n, (), lambda a: (a,))
+    # a permutation sends distinct atoms to distinct bits, so + is |
+    images = [_byte_tables(n, 0, lambda a, g=g: 1 << g[a]) for g in system.generators]
+
+    def atom_tuple(mask: int) -> tuple[int, ...]:
+        out: tuple[int, ...] = ()
+        for table in atoms_of:
+            out += table[mask & 255]
+            mask >>= 8
+        return out
+
+    seen = bytearray(1 << n)
     best = LexMax()
-    for mask in range(1, 1 << n):
-        atoms = tuple(i for i in range(n) if mask >> i & 1)
-        ratio = _subset_ratio(system, atoms, alpha, one_sided)
-        best.offer(ratio.numerator, ratio.denominator, atoms)
+    for rep in range(1, 1 << n):
+        if seen[rep]:
+            continue
+        seen[rep] = 1
+        members = [rep]
+        for mask in members:  # grows while it is walked: a closure by search
+            for tables in images:
+                image, rest = 0, mask
+                for table in tables:
+                    image |= table[rest & 255]
+                    rest >>= 8
+                if not seen[image]:
+                    seen[image] = 1
+                    members.append(image)
+        atoms = atom_tuple(rep)
+        halo = halo_of(system, MeasurableSet(system=system, atoms=atoms), alpha)
+        num = sum(map(weight.__getitem__, halo.atoms))
+        den = sum(map(weight.__getitem__, atoms))
+        if num * best.den >= best.num * den:
+            best.offer(num, den, min(map(atom_tuple, members)))
     return TauberianEstimate(
         alpha=alpha,
         value=best.value,
@@ -548,7 +611,7 @@ def _heuristic_tauberian(
     rng = random.Random(rng_seed)
     current = best.key
     current_value = best.value
-    while evals < budget:
+    while n > 1 and evals < budget:  # one atom has no move but its own removal
         move_atom = rng.randrange(n)
         atoms = set(current)
         if move_atom in atoms:
@@ -583,9 +646,11 @@ def exact_tauberian(
 ) -> TauberianEstimate:
     """sup over nonempty atom subsets of halo measure / set measure.
 
-    Exhaustive (and exact, with a lexicographically least witness) up to
-    ``max_enum`` atoms; beyond that an explicitly flagged heuristic lower
-    bound is returned.
+    Exhaustive (and exact) up to ``max_enum`` atoms: the subsets are walked
+    one class under the generated group at a time, with one halo per class,
+    and the witness is the lexicographically least maximiser over all
+    subsets.  Beyond ``max_enum`` an explicitly flagged heuristic lower bound
+    is returned.
     """
     alpha = require_alpha(alpha)
     _require_valid(system)

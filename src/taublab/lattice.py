@@ -26,13 +26,13 @@ from itertools import product as _cartesian
 
 from .errors import DomainError
 from .estimate import TauberianEstimate
-from .rational import LexMax, require_alpha
+from .rational import LexMax, require_alpha, require_integers
 
 Point = tuple[int, ...]
 
 
 def _as_point(coords) -> Point:
-    pt = tuple(int(c) for c in coords)
+    pt = require_integers(coords, "lattice coordinates")
     if not pt:
         raise DomainError("a lattice point needs at least one coordinate")
     return pt
@@ -68,7 +68,7 @@ class LatticeSet:
         return iter(self.points)
 
     def __contains__(self, point) -> bool:
-        pt = tuple(int(c) for c in point)
+        pt = require_integers(point, "lattice coordinates")
         i = bisect_left(self.points, pt)
         return i < len(self.points) and self.points[i] == pt
 

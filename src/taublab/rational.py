@@ -11,6 +11,7 @@ at rational thresholds such as 2/3 and a decimal cannot name them.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
 from .errors import DomainError, InputFormatError
 
@@ -57,6 +58,16 @@ def require_alpha(alpha: Fraction) -> Fraction:
     if not (0 < alpha < 1):
         raise DomainError(f"threshold must lie strictly inside (0, 1), got {alpha}")
     return alpha
+
+
+def require_integers(values, what: str) -> tuple[int, ...]:
+    """The values as a tuple of ints; anything that is not an integer (a
+    float, a Fraction, a string) is refused rather than truncated.  ``bool``
+    passes, being Python's int subclass."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise DomainError(f"{what} must be integers, got {values!r}") from None
 
 
 class LexMax:

@@ -134,3 +134,23 @@ def brute_ergodic_max(generators, atom, in_E, side):
             if d > best:
                 best = d
     return best
+
+
+def brute_exact_tauberian(system, alpha, one_sided=False):
+    """(value, witness) of the exact Tauberian constant by enumerating every
+    nonempty atom subset: the largest halo measure over set measure, and the
+    least sorted atom tuple among the subsets that attain it.
+
+    Halos come from the package's own halo functions, which the window-scan
+    oracles above check; only the enumeration is independent here."""
+    from taublab.ergodic import MeasurableSet, ergodic_halo, one_sided_ergodic_halo
+
+    halo = one_sided_ergodic_halo if one_sided else ergodic_halo
+    n = len(system.masses)
+    ratios = {}
+    for mask in range(1, 1 << n):
+        E = MeasurableSet.of(system, [a for a in range(n) if mask >> a & 1])
+        halo_mass = sum((system.masses[a] for a in halo(system, E, alpha).atoms), Fraction(0))
+        ratios[E.atoms] = halo_mass / sum((system.masses[a] for a in E.atoms), Fraction(0))
+    best = max(ratios.values())
+    return best, min(atoms for atoms, r in ratios.items() if r == best)

@@ -157,6 +157,15 @@ class TestVerify:
     def test_jump_above_limit_exit_3(self, capsys):
         assert run(["verify", "jump", "25"], capsys)[0] == 3
 
+    @pytest.mark.parametrize(
+        "scenario", [["transfer", "7", "0"], ["one-sided", "3", "-2"], ["ceiling-1d", "3", "0"]]
+    )
+    def test_no_random_trials_exit_3(self, scenario, capsys):
+        code, out, err = run(["verify"] + scenario, capsys)
+        assert code == 3
+        assert "PASS" not in out
+        assert err.startswith("domain error: the number of random trials")
+
     @pytest.mark.parametrize("scenario", [["jump", "abc"], ["transfer", "7", "x"]])
     def test_non_integer_parameter_exit_2(self, scenario, capsys):
         code, out, err = run(["verify"] + scenario, capsys)

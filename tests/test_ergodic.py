@@ -1,5 +1,7 @@
 """Frozen examples for finite measure-preserving systems."""
 
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +20,7 @@ from taublab.ergodic import (
     one_sided_ergodic_max,
     one_sided_exact_tauberian,
     rokhlin_tower,
+    apply_power,
     transfer_witness,
     validate_system,
 )
@@ -96,6 +99,15 @@ class TestEval:
         with pytest.raises(DomainError):
             eval_ergodic_max(system, E, 5)
 
+    def test_non_integer_atoms_rejected(self):
+        system = make_cyclic(5)
+        with pytest.raises(DomainError):
+            MeasurableSet.of(system, [0.5, 1.9])
+        with pytest.raises(DomainError):
+            apply_power(system, 0, [1.7])
+        assert MeasurableSet.of(system, [True, 3]).atoms == (1, 3)
+        assert apply_power(system, 0, [7]) == 2
+
     def test_empty_set_rejected(self):
         system = make_cyclic(2)
         E = MeasurableSet.of(system, [])
@@ -142,6 +154,17 @@ class TestTauberian:
     def test_alpha_domain(self):
         with pytest.raises(DomainError):
             exact_tauberian(make_cyclic(2), F(1))
+
+    def test_heuristic_ends_on_one_atom(self):
+        # run apart, so a search that never ends fails instead of hanging the suite
+        code = (
+            "from fractions import Fraction; from taublab.ergodic import *; "
+            "print(exact_tauberian(make_cyclic(1), Fraction(1, 2), max_enum=0).value, "
+            "one_sided_exact_tauberian(make_cyclic(1), Fraction(1, 2), max_enum=0).value)"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["1", "1"]
 
     def test_heuristic_mode_above_limit(self):
         est = exact_tauberian(make_cyclic(24), F(1, 2), max_enum=10, budget=50)

@@ -18,7 +18,7 @@ from taublab.ergodic import (
     validate_system,
 )
 
-from oracles import brute_ergodic_max, brute_tower_index
+from oracles import brute_ergodic_max, brute_exact_tauberian, brute_tower_index
 
 
 def random_dim1_system(rng, max_atoms=8, uniform=True):
@@ -309,3 +309,52 @@ def test_nd_halo_matches_brute_window_scan():
             want = brute_halo_atoms(system, atoms, alpha)
             assert set(ergodic_halo(system, E, alpha).atoms) == want
             assert ergodic_halo_measure(system, E, alpha) == sum(system.masses[a] for a in want)
+
+
+def cycles(*lengths):
+    """One generator made of cycles of these lengths; a length 1 is a fixed point."""
+    perm, start = [], 0
+    for length in lengths:
+        perm += [start + (i + 1) % length for i in range(length)]
+        start += length
+    return [perm]
+
+
+def test_class_enumeration_matches_full_enumeration():
+    """Exact constants from one halo per class of subsets under the generated
+    group agree, value and witness, with every subset enumerated.  Cycles of
+    composite length hold periodic sets such as {0, 2, 4} on a 6-cycle, whose
+    classes are smaller than the group.  A 1-D system is taken at the jump
+    (2N - 2)/(2N - 1) +- 1/(8N^2) of each of its cycles, and also one-sided."""
+    rng = random.Random(61)
+    cases = [uniform(cycles(n)) for n in range(1, 13)]
+    cases += [
+        uniform(cycles(3, 3)), uniform(cycles(2, 2, 2, 2)), uniform(cycles(4, 4, 2)),
+        disjoint_union(cycles(3), cycles(3)), disjoint_union(cycles(5), cycles(2), cycles(1)),
+        uniform(cycles(4, 1, 1)), uniform(cycles(1, 1, 1)), disjoint_union(cycles(6), cycles(1)),
+        uniform(torus_generators(2, 2)), uniform(torus_generators(2, 3)),
+        uniform(torus_generators(3, 3)), uniform(torus_generators(2, 4)),
+        uniform(torus_generators(3, 4)), uniform(torus_generators(2, 2, 2)),
+        uniform(power_pair(6, 2)), uniform(power_pair(8, 3)), uniform(skewed_pair(4, 2, 1)),
+        disjoint_union(torus_generators(2, 2), skewed_pair(2, 2, 1)),
+    ]
+    for masses, generators in cases:
+        system = relabelled(rng, masses, generators)
+        assert validate_system(system).ok
+        alphas = {F(rng.randint(1, 11), 12)}
+        if system.dim == 1:
+            perm = generators[0]
+            for start in range(len(perm)):
+                a, period = perm[start], 1
+                while a != start:
+                    a, period = perm[a], period + 1
+                jump = F(2 * period - 2, 2 * period - 1)
+                alphas |= {jump - F(1, 8 * period**2), jump + F(1, 8 * period**2)}
+        else:
+            alphas.add(F(1, 2))
+        sides = (False, True) if system.dim == 1 else (False,)
+        for alpha in sorted(a for a in alphas if 0 < a < 1):
+            for one_sided in sides:
+                constant = one_sided_exact_tauberian if one_sided else exact_tauberian
+                est = constant(system, alpha)
+                assert (est.value, est.witness) == brute_exact_tauberian(system, alpha, one_sided)

@@ -61,6 +61,16 @@ class TestLatticeSet:
         assert E.translate((5,)).points == ((5,), (7,))
         assert E.negate().points == ((-2,), (0,))
 
+    def test_non_integer_coordinates_rejected(self):
+        E = lattice_set([(0,), (5,)])
+        with pytest.raises(DomainError):
+            lattice_set([(0.5,), (2.9,)])
+        with pytest.raises(DomainError):
+            eval_strong_max(E, (0.7,))
+        with pytest.raises(DomainError):
+            (F(5),) in E
+        assert (5,) in E and (True,) not in E
+
 
 class TestStrongMax:
     def test_point_in_set_gives_one(self):
