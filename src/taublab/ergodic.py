@@ -180,10 +180,6 @@ class MeasurableSet:
     def __contains__(self, atom: int) -> bool:
         return atom in set(self.atoms)
 
-    def image(self, axis: int = 0) -> "MeasurableSet":
-        g = self.system.generators[axis]
-        return MeasurableSet.of(self.system, (g[a] for a in self.atoms))
-
 
 @lru_cache(maxsize=None)
 def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -219,8 +215,16 @@ def _cycle_length_of(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(length)
 
 
+def _require_atom(system: AtomicSystem, atom) -> int:
+    (atom,) = require_integers((atom,), "atom")
+    if not 0 <= atom < system.atom_count:
+        raise DomainError("atom index out of range")
+    return atom
+
+
 def apply_power(system: AtomicSystem, atom: int, exponents) -> int:
     """U_1^{j_1} ... U_n^{j_n} applied to an atom."""
+    atom = _require_atom(system, atom)
     exps = require_integers(exponents, "exponents")
     if len(exps) != system.dim:
         raise DomainError("exponent vector dimension mismatch")
@@ -253,12 +257,6 @@ def _check_set(system: AtomicSystem, E: MeasurableSet):
         raise DomainError("ergodic maximal operators need a nonempty set")
 
 
-def _check_eval_args(system: AtomicSystem, E: MeasurableSet, atom: int):
-    _check_set(system, E)
-    if not (0 <= atom < system.atom_count):
-        raise DomainError("atom index out of range")
-
-
 def eval_ergodic_max(
     system: AtomicSystem, E: MeasurableSet, atom: int, side_bound: int | None = None
 ) -> Fraction:
@@ -268,98 +266,54 @@ def eval_ergodic_max(
     With ``side_bound=None`` each axis enumerates window arms up to its orbit
     period minus one, which attains the supremum; an explicit bound instead
     enumerates arms 0..side_bound on every axis (used by soundness checks).
+    In every dimension the orbit is patched over those arms; each window
+    through the origin on the first n - 1 axes, grown one slice at a time,
+    sums the patch into one column along the last axis, whose runs through
+    the origin are prefix pairs compared by integer cross-multiplication.
     """
-    _check_eval_args(system, E, atom)
-    in_E = [False] * system.atom_count
-    for a in E.atoms:
-        in_E[a] = True
+    _check_set(system, E)
+    atom = _require_atom(system, atom)
     if side_bound is None:
         arms = [_cycle_length_of(system.generators[i])[atom] - 1 for i in range(system.dim)]
     else:
+        (side_bound,) = require_integers((side_bound,), "side bound")
         if side_bound < 0:
             raise DomainError("side bound must be >= 0")
         arms = [side_bound] * system.dim
-    if system.dim == 1:
-        return _eval_max_1d(system, in_E, atom, arms[0])
-    return _eval_max_nd(system, in_E, atom, arms)
+    return _eval_max(system, set(E.atoms), atom, arms)
 
 
-def _eval_max_1d(system: AtomicSystem, in_E: list[bool], atom: int, arm: int) -> Fraction:
-    line = _axis_line(system, atom, 0, arm, arm)
-    vals = [1 if in_E[a] else 0 for a in line]
-    prefix = [0] * (len(vals) + 1)
-    for i, v in enumerate(vals):
-        prefix[i + 1] = prefix[i] + v
-    center = arm
+def _eval_max(system: AtomicSystem, in_E: set[int], atom: int, arms: list[int]) -> Fraction:
+    """Best density of the boxes [-a_i, b_i], 0 <= a_i, b_i <= arms[i], around
+    the atom: a window start in [0, arm] and end in [arm, 2 arm] per axis."""
+    flat = [atom]  # row-major patch of orbit atoms over offsets [-arm_i, arm_i]
+    for axis, arm in enumerate(arms):
+        flat = [a for b in flat for a in _axis_line(system, b, axis, arm, arm)]
     best_num, best_den = 0, 1
-    for a in range(arm + 1):
-        left = prefix[center - a]
-        for b in range(arm + 1):
-            cnt = prefix[center + b + 1] - left
-            length = a + b + 1
-            if cnt * best_den > best_num * length:
-                best_num, best_den = cnt, length
-    return Fraction(best_num, best_den)
 
+    def columns(axis: int, slab: list[int], vol: int) -> None:
+        nonlocal best_num, best_den
+        arm = arms[axis]
+        if axis == len(arms) - 1:
+            prefix = list(accumulate(slab, initial=0))
+            rights = prefix[arm + 1 :]  # prefix[j] for j = arm + 1 .. 2 arm + 1
+            for i in range(arm + 1):
+                left, size = prefix[i], vol * (arm + 1 - i)
+                for right in rights:  # the run of cells i .. j - 1
+                    if (right - left) * best_den > best_num * size:
+                        best_num, best_den = right - left, size
+                    size += vol
+            return
+        inner = len(slab) // (2 * arm + 1)
+        for start in range(arm + 1):
+            acc = [0] * inner
+            for end in range(start, 2 * arm + 1):
+                r = end * inner
+                acc = list(map(add, acc, slab[r : r + inner]))
+                if end >= arm:
+                    columns(axis + 1, acc, vol * (end - start + 1))
 
-def _eval_max_nd(system: AtomicSystem, in_E: list[bool], atom: int, arms: list[int]) -> Fraction:
-    n = system.dim
-    # row-major patch of orbit values over offsets [-arm_i, arm_i]
-    flat = [atom]
-    for axis in range(n):
-        expanded: list[int] = []
-        for a in flat:
-            expanded.extend(_axis_line(system, a, axis, arms[axis], arms[axis]))
-        flat = expanded
-    shape = [2 * arm + 1 for arm in arms]
-    vals = [1 if in_E[a] else 0 for a in flat]
-    # n-dimensional prefix sums, one axis at a time
-    strides = [0] * n
-    acc = 1
-    for i in range(n - 1, -1, -1):
-        strides[i] = acc
-        acc *= shape[i]
-    for axis in range(n):
-        stride = strides[axis]
-        block = stride * shape[axis]
-        for base in range(0, len(vals), block):
-            for off in range(stride):
-                idx = base + off + stride
-                while idx < base + block:
-                    vals[idx] += vals[idx - stride]
-                    idx += stride
-
-    def rect_sum(lo_idx, hi_idx):
-        total = 0
-        for corner in _cartesian(*((0, 1) for _ in range(n))):
-            idx = 0
-            sign = 1
-            skip = False
-            for i, c in enumerate(corner):
-                if c:
-                    idx += hi_idx[i] * strides[i]
-                else:
-                    if lo_idx[i] == 0:
-                        skip = True
-                        break
-                    idx += (lo_idx[i] - 1) * strides[i]
-                    sign = -sign
-            if not skip:
-                total += sign * vals[idx]
-        return total
-
-    best_num, best_den = 0, 1
-    arm_ranges = [range(arm + 1) for arm in arms]
-    for los in _cartesian(*arm_ranges):
-        lo_idx = [arms[i] - los[i] for i in range(n)]
-        for his in _cartesian(*arm_ranges):
-            hi_idx = [arms[i] + his[i] for i in range(n)]
-            vol = 1
-            for a, b in zip(los, his):
-                vol *= a + b + 1
-            cnt = rect_sum(lo_idx, hi_idx)
-            if cnt * best_den > best_num * vol:
-                best_num, best_den = cnt, vol
+    columns(0, [1 if a in in_E else 0 for a in flat], 1)
     return Fraction(best_num, best_den)
 
 
@@ -725,7 +679,7 @@ def rokhlin_tower(system: AtomicSystem, heights) -> TowerBase:
     """A single-atom base whose box of translates up to the given heights is
     pairwise disjoint; errors when the system has no room."""
     _require_valid(system)
-    hts = tuple(int(h) for h in heights)
+    hts = require_integers(heights, "tower heights")
     if len(hts) != system.dim:
         raise DomainError("heights vector dimension mismatch")
     if any(h < 1 for h in hts):
@@ -824,7 +778,8 @@ def one_sided_ergodic_max(system: AtomicSystem, E: MeasurableSet, atom: int) -> 
     the supremum."""
     if system.dim != 1:
         raise DomainError("one-sided ergodic operators take a single transformation")
-    _check_eval_args(system, E, atom)
+    _check_set(system, E)
+    atom = _require_atom(system, atom)
     in_E = set(E.atoms)
     P = _cycle_length_of(system.generators[0])[atom]
     perm = system.generators[0]

@@ -22,7 +22,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _cartesian
 
 from .errors import DomainError
 from .estimate import TauberianEstimate
@@ -252,14 +251,38 @@ def _check_operator_input(E: LatticeSet, m) -> Point:
 
 def strong_max_witness(E: LatticeSet, m) -> tuple[Fraction, IntBox]:
     """Exact value of the strong maximal operator on the indicator of E at m,
-    together with the lexicographically smallest maximising box."""
+    together with the lexicographically smallest maximising box.
+
+    Box faces sit at coordinates of E or m.  Each face pair [a, b] on an outer
+    axis keeps the slab of points with that coordinate in [a, b]; empty slabs
+    are skipped, as the maximum density is positive.  On the last axis the
+    slab's counts are read by bisecting its sorted coordinates.
+    """
     pt = _check_operator_input(E, m)
-    if E.dim == 1:
-        best = _strong_max_1d(E, pt[0])
-    elif E.dim == 2:
-        best = _strong_max_2d(E, pt)
-    else:
-        best = _strong_max_nd(E, pt)
+    cand = [_axis_candidates({p[i] for p in E.points}, v) for i, v in enumerate(pt)]
+    best = LexMax()
+
+    def slabs(axis: int, pts, lo: Point, hi: Point, vol: int) -> None:
+        los, his = cand[axis]
+        if axis == E.dim - 1:
+            xs = sorted(p[axis] for p in pts)
+            for a in los:
+                cl = bisect_left(xs, a)
+                for b in his:
+                    cnt, size = bisect_right(xs, b) - cl, vol * (b - a + 1)
+                    if cnt * best.den >= best.num * size:  # only a tie or a win needs its key
+                        best.offer(cnt, size, (lo + (a,), hi + (b,)))
+            return
+        pts = sorted(pts, key=lambda p: p[axis])
+        coords = [p[axis] for p in pts]
+        for a in los:
+            cl = bisect_left(coords, a)
+            for b in his:
+                cr = bisect_right(coords, b)
+                if cr > cl:
+                    slabs(axis + 1, pts[cl:cr], lo + (a,), hi + (b,), vol * (b - a + 1))
+
+    slabs(0, E.points, (), (), 1)
     lo, hi = best.key
     return best.value, IntBox(lo=lo, hi=hi)
 
@@ -269,71 +292,10 @@ def eval_strong_max(E: LatticeSet, m) -> Fraction:
     return strong_max_witness(E, m)[0]
 
 
-def _axis_candidates(coords: list[int], v: int) -> tuple[list[int], list[int]]:
+def _axis_candidates(coords: set[int], v: int) -> tuple[list[int], list[int]]:
     los = sorted({c for c in coords if c <= v} | {v})
     his = sorted({c for c in coords if c >= v} | {v})
     return los, his
-
-
-def _strong_max_1d(E: LatticeSet, m: int) -> LexMax:
-    """Best density over boxes [lo, hi] containing m, keyed by (lo, hi)."""
-    xs = [p[0] for p in E.points]
-    los, his = _axis_candidates(xs, m)
-    best = LexMax()
-    for lo in los:
-        cl = bisect_left(xs, lo)
-        for hi in his:
-            cnt = bisect_right(xs, hi) - cl
-            best.offer(cnt, hi - lo + 1, ((lo,), (hi,)))
-    return best
-
-
-def _strong_max_2d(E: LatticeSet, m: Point) -> LexMax:
-    rows = sorted({p[0] for p in E.points})
-    cols = sorted({p[1] for p in E.points})
-    col_index = {c: i for i, c in enumerate(cols)}
-    by_row: dict[int, list[int]] = {}
-    for r, c in E.points:
-        by_row.setdefault(r, []).append(col_index[c])
-    row_los, row_his = _axis_candidates(rows, m[0])
-    col_los, col_his = _axis_candidates(cols, m[1])
-    nc = len(cols)
-    best = LexMax()
-    for a in row_los:
-        for b in row_his:
-            if b < a:
-                continue
-            counts = [0] * nc
-            for r, idxs in by_row.items():
-                if a <= r <= b:
-                    for i in idxs:
-                        counts[i] += 1
-            prefix = [0] * (nc + 1)
-            for i, v in enumerate(counts):
-                prefix[i + 1] = prefix[i] + v
-            h = b - a + 1
-            for lo2 in col_los:
-                cl = bisect_left(cols, lo2)
-                for hi2 in col_his:
-                    if hi2 < lo2:
-                        continue
-                    cnt = prefix[bisect_right(cols, hi2)] - prefix[cl]
-                    best.offer(cnt, h * (hi2 - lo2 + 1), ((a, lo2), (b, hi2)))
-    return best
-
-
-def _strong_max_nd(E: LatticeSet, m: Point) -> LexMax:
-    n = E.dim
-    cand = [_axis_candidates(sorted({p[i] for p in E.points}), m[i]) for i in range(n)]
-    best = LexMax()
-    for lo in _cartesian(*(c[0] for c in cand)):
-        for hi in _cartesian(*(c[1] for c in cand)):
-            vol = 1
-            for a, b in zip(lo, hi):
-                vol *= b - a + 1
-            cnt = sum(1 for p in E.points if all(a <= c <= b for a, c, b in zip(lo, p, hi)))
-            best.offer(cnt, vol, (lo, hi))
-    return best
 
 
 def exceeds(E: LatticeSet, m, alpha: Fraction) -> bool:

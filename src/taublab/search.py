@@ -27,7 +27,7 @@ from .lattice import (
     one_sided_halo_ratio,
     product_witness,
 )
-from .rational import LexMax, require_alpha
+from .rational import LexMax, require_alpha, require_integers
 
 EXHAUSTIVE_WINDOW_LIMIT = 24
 
@@ -104,7 +104,9 @@ def exhaustive_search(window, alpha: Fraction, one_sided: bool = False) -> Taube
     minima are 0.
     """
     alpha = require_alpha(alpha)
-    window = tuple((int(lo), int(hi)) for lo, hi in window)
+    window = tuple(require_integers(bounds, "window bounds") for bounds in window)
+    if any(lo > hi for lo, hi in window):
+        raise DomainError("window bounds must satisfy lo <= hi")
     card = 1
     for lo, hi in window:
         card *= hi - lo + 1
@@ -239,9 +241,7 @@ def anneal_search(config: SearchConfig, alpha: Fraction) -> TauberianEstimate:
             pts.add(pt)
         candidate = LatticeSet.from_points(pts)
         value = ratio_of(candidate)
-        if value > current_value:
-            accept = True
-        elif value == current_value:
+        if value >= current_value:
             accept = True
         else:
             drop = float(current_value - value)

@@ -108,6 +108,19 @@ class TestEval:
         assert MeasurableSet.of(system, [True, 3]).atoms == (1, 3)
         assert apply_power(system, 0, [7]) == 2
 
+    def test_apply_power_atom_out_of_range(self):
+        system = make_cyclic(3)
+        for atom in (7, -1, 0.5):
+            with pytest.raises(DomainError):
+                apply_power(system, atom, (1,))
+
+    def test_non_integer_side_bound_rejected(self):
+        system = make_cyclic(3)
+        E = MeasurableSet.of(system, [0])
+        with pytest.raises(DomainError):
+            eval_ergodic_max(system, E, 0, side_bound=2.5)
+        assert eval_ergodic_max(system, E, 0, side_bound=2) == 1
+
     def test_empty_set_rejected(self):
         system = make_cyclic(2)
         E = MeasurableSet.of(system, [])
@@ -236,6 +249,10 @@ class TestTowers:
     def test_pigeonhole_obstruction(self):
         with pytest.raises(DomainError):
             rokhlin_tower(make_torus(2), (3,))
+
+    def test_non_integer_heights_rejected(self):
+        with pytest.raises(DomainError):
+            rokhlin_tower(make_cyclic(8), (2.9,))
 
 
 class TestTransfer:

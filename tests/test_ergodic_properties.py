@@ -56,7 +56,8 @@ def test_halo_measure_invariant_under_the_action():
         system = random_dim1_system(rng, uniform=rng.random() < 0.5)
         E = random_subset(rng, system)
         alpha = F(rng.randint(1, 9), 10)
-        moved = E.image()
+        g = system.generators[0]
+        moved = MeasurableSet.of(system, (g[a] for a in E.atoms))
         assert ergodic_halo_measure(system, E, alpha) == ergodic_halo_measure(
             system, moved, alpha
         )
@@ -171,6 +172,9 @@ def test_window_bound_soundness():
 
 
 def test_eval_matches_unstructured_brute_force():
+    """The pointwise value against a direct window scan: on 1-D systems, on
+    2-D and 3-D tori, for U_2 = U_1^k and a skewed pair, and with explicit
+    side bounds, which the scan uses as its own arms."""
     rng = random.Random(47)
     for _ in range(15):
         system = random_dim1_system(rng, max_atoms=6)
@@ -181,6 +185,21 @@ def test_eval_matches_unstructured_brute_force():
             [list(system.generators[0])], atom, lambda a: a in atoms_in, 2 * system.atom_count
         )
         assert eval_ergodic_max(system, E, atom) == want
+    cases = [
+        uniform(torus_generators(3, 4)), uniform(torus_generators(2, 2, 3)),
+        uniform(power_pair(5, 2)), uniform(power_pair(6, 4)),
+        uniform(skewed_pair(4, 2, 1)), uniform(skewed_pair(3, 3, 2)),
+        disjoint_union(torus_generators(2, 2), skewed_pair(2, 2, 1)),
+    ]
+    for masses, generators in cases:
+        system = relabelled(rng, masses, generators)
+        gens = [list(g) for g in system.generators]
+        for side in (None, 0, 2):
+            E = random_subset(rng, system)
+            atom = rng.randrange(system.atom_count)
+            scan = longest_arm(gens) if side is None else side
+            want = brute_ergodic_max(gens, atom, set(E.atoms).__contains__, scan)
+            assert eval_ergodic_max(system, E, atom, side_bound=side) == want
 
 
 def test_index_matches_brute_tower_search():
@@ -273,16 +292,22 @@ def disjoint_union(*parts):
     return [F(m, total) for m in masses], gens
 
 
-def brute_halo_atoms(system, atoms, alpha):
-    in_E = set(atoms).__contains__
-    gens = [list(g) for g in system.generators]
+def longest_arm(gens):
+    """The longest orbit period minus one, which bounds every arm."""
     side = 0
-    for g in gens:  # the longest orbit period minus one bounds every arm
+    for g in gens:
         for start in range(len(g)):
             a, period = g[start], 1
             while a != start:
                 a, period = g[a], period + 1
             side = max(side, period - 1)
+    return side
+
+
+def brute_halo_atoms(system, atoms, alpha):
+    in_E = set(atoms).__contains__
+    gens = [list(g) for g in system.generators]
+    side = longest_arm(gens)
     return {a for a in range(len(gens[0])) if brute_ergodic_max(gens, a, in_E, side) > alpha}
 
 

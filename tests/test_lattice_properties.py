@@ -172,10 +172,10 @@ def brute_lex_least_box(points, m):
     return best, min(key for key, v in boxes.items() if v == best)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_witness_box_is_lex_least_maximiser(dim):
     rng = random.Random(40 + dim)
-    for _ in range(25):
+    for _ in range(100):
         E = LatticeSet.from_points(
             {tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 5))}
         )

@@ -51,6 +51,11 @@ class TestExhaustive:
         assert min(p[0] for p in est.witness.points) == 0
         assert est.value == F(5, 2)
 
+    def test_non_integer_or_reversed_window_refused(self):
+        for window in (((0, 3.9),), ((0.5, 3),), ((3, 0),)):
+            with pytest.raises(DomainError):
+                exhaustive_search(window, F(1, 2))
+
     def test_oversized_window_refused(self):
         with pytest.raises(DomainError):
             exhaustive_search(((0, 24),), F(1, 2))
