@@ -51,7 +51,7 @@ from .lattice import (
     one_sided_halo_ratio,
 )
 from .rational import format_rational, parse_rational, require_alpha
-from .search import SearchConfig, sweep
+from .search import STRATEGIES, SearchConfig, sweep
 
 
 def _parse_point(text: str) -> tuple[int, ...]:
@@ -78,10 +78,25 @@ def _parse_window(text: str, dim: int) -> tuple[tuple[int, int], ...]:
     return tuple(bounds)
 
 
+def _write_output(args, argv, command: str, render, config: dict, rng_seed, input_paths) -> None:
+    """Write render(fmt) to --out with its manifest; the format is --format,
+    else json for a .json file and csv otherwise."""
+    fmt = args.format or ("json" if str(args.out).endswith(".json") else "csv")
+    manifest = build_manifest(
+        command=command,
+        argv=argv,
+        config={**config, "format": fmt},
+        rng_seed=rng_seed,
+        input_paths=input_paths,
+        version=__version__,
+    )
+    write_with_manifest(args.out, render(fmt), manifest)
+
+
 def cmd_eval(args, argv) -> int:
     E = load_lattice_set(args.set_file)
     point = _parse_point(args.point)
-    alpha = require_alpha(parse_rational(args.alpha)) if args.alpha is not None else None
+    alpha = require_alpha(args.alpha) if args.alpha is not None else None
     value = eval_strong_max(E, point)
     print(format_rational(value))
     if alpha is not None:
@@ -91,24 +106,16 @@ def cmd_eval(args, argv) -> int:
 
 def cmd_halo(args, argv) -> int:
     E = load_lattice_set(args.set_file)
-    alpha = require_alpha(parse_rational(args.alpha))
+    alpha = require_alpha(args.alpha)
     h = halo(E, alpha)
-    ratio = Fraction(len(h.members), len(h.source))
-    print(f"members={len(h.members)} ratio={format_rational(ratio)}")
+    print(f"members={len(h.members)} ratio={format_rational(h.ratio)}")
     if args.out:
-        fmt = args.format or ("json" if str(args.out).endswith(".json") else "csv")
-        content = (
-            dumps_deterministic(halo_to_json_dict(h)) if fmt == "json" else halo_to_csv(h)
+        _write_output(
+            args, argv, "halo",
+            lambda fmt: dumps_deterministic(halo_to_json_dict(h)) if fmt == "json" else halo_to_csv(h),
+            {"alpha": format_rational(alpha), "set_file": str(args.set_file)},
+            rng_seed=None, input_paths=[args.set_file],
         )
-        manifest = build_manifest(
-            command="halo",
-            argv=argv,
-            config={"alpha": format_rational(alpha), "format": fmt, "set_file": str(args.set_file)},
-            rng_seed=None,
-            input_paths=[args.set_file],
-            version=__version__,
-        )
-        write_with_manifest(args.out, content, manifest)
     return 0
 
 
@@ -125,17 +132,12 @@ def cmd_sweep(args, argv) -> int:
         one_sided=args.one_sided,
     )
     result = sweep(grid, config)
-    fmt = args.format or ("json" if str(args.out).endswith(".json") else "csv")
-    content = sweep_to_json(result) if fmt == "json" else sweep_to_csv(result)
-    manifest = build_manifest(
-        command="sweep",
-        argv=argv,
-        config={**config.to_json_dict(), "grid": [format_rational(a) for a in grid], "format": fmt},
-        rng_seed=args.seed,
-        input_paths=[],
-        version=__version__,
+    _write_output(
+        args, argv, "sweep",
+        lambda fmt: sweep_to_json(result) if fmt == "json" else sweep_to_csv(result),
+        {**config.to_json_dict(), "grid": [format_rational(a) for a in grid]},
+        rng_seed=args.seed, input_paths=[],
     )
-    write_with_manifest(args.out, content, manifest)
     print(f"wrote {args.out} ({len(result.entries)} grid points)")
     return 0
 
@@ -368,9 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="lower-bound sweep over a threshold grid")
     p_sweep.add_argument("--dim", type=int, default=1)
     p_sweep.add_argument("--grid", required=True, help="comma-separated rationals, e.g. 1/10,1/5,3/10")
-    p_sweep.add_argument("--strategy", default="interval-family",
-                         choices=["exhaustive", "interval-family", "box-family",
-                                  "product-family", "staircase-family", "anneal"])
+    p_sweep.add_argument("--strategy", default="interval-family", choices=STRATEGIES)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--budget", type=int, default=2000)
     p_sweep.add_argument("--max-block", type=int, default=60)

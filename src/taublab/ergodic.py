@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress, product as _cartesian
-from math import lcm
+from math import lcm, prod
 from operator import add
 import random
 
@@ -117,40 +117,26 @@ def make_cyclic(n: int) -> AtomicSystem:
     by 1/2 on the circle."""
     if n < 1:
         raise DomainError("cyclic system needs at least one atom")
-    return AtomicSystem(
-        masses=tuple([Fraction(1, n)] * n),
-        dim=1,
-        generators=(tuple((i + 1) % n for i in range(n)),),
-    )
+    return make_torus(n)
 
 
 def make_torus(*sizes: int) -> AtomicSystem:
-    """Product of cyclic shifts: one commuting generator per coordinate."""
+    """Product of cyclic shifts: one commuting generator per coordinate.
+
+    Atoms are numbered row-major, so the shift along an axis adds the axis
+    stride to an atom's number and wraps inside that axis."""
     if not sizes:
         raise DomainError("torus needs at least one size")
     if any(s < 1 for s in sizes):
         raise DomainError("torus sizes must be >= 1")
-    total = 1
-    for s in sizes:
-        total *= s
-    strides = []
-    acc = 1
-    for s in reversed(sizes):
-        strides.append(acc)
-        acc *= s
-    strides.reverse()
-
-    def index(coords):
-        return sum(c * st for c, st in zip(coords, strides))
-
+    total = stride = prod(sizes)
     generators = []
-    for axis, size in enumerate(sizes):
-        perm = [0] * total
-        for coords in _cartesian(*(range(s) for s in sizes)):
-            shifted = list(coords)
-            shifted[axis] = (shifted[axis] + 1) % size
-            perm[index(coords)] = index(shifted)
-        generators.append(tuple(perm))
+    for size in sizes:
+        stride //= size
+        block = stride * size  # one full turn along this axis
+        generators.append(tuple(
+            a + stride if a % block < block - stride else a + stride - block for a in range(total)
+        ))
     return AtomicSystem(
         masses=tuple([Fraction(1, total)] * total),
         dim=len(sizes),
@@ -357,9 +343,8 @@ def ergodic_halo(system: AtomicSystem, E: MeasurableSet, alpha: Fraction) -> Mea
     """Atoms whose ergodic maximal value strictly exceeds alpha."""
     alpha = require_alpha(alpha)
     _check_set(system, E)
-    if system.dim == 1:
-        return MeasurableSet.of(system, _halo_atoms_1d(system, set(E.atoms), alpha))
-    return MeasurableSet.of(system, _halo_atoms_nd(system, set(E.atoms), alpha))
+    kernel = _halo_atoms_1d if system.dim == 1 else _halo_atoms_nd
+    return MeasurableSet.of(system, kernel(system, set(E.atoms), alpha))
 
 
 def _halo_atoms_1d(system: AtomicSystem, atoms_in_E: set[int], alpha: Fraction) -> list[int]:
@@ -448,15 +433,6 @@ def ergodic_halo_measure(system: AtomicSystem, E: MeasurableSet, alpha: Fraction
 # ---------------------------------------------------------------------------
 
 
-def _subset_ratio(system: AtomicSystem, atoms: tuple[int, ...], alpha: Fraction, one_sided: bool) -> Fraction:
-    E = MeasurableSet(system=system, atoms=atoms)
-    if one_sided:
-        measure = one_sided_ergodic_halo_measure(system, E, alpha)
-    else:
-        measure = ergodic_halo_measure(system, E, alpha)
-    return measure / E.measure
-
-
 def _byte_tables(n: int, empty, unit) -> list[list]:
     """For each 8-atom chunk of an n-atom mask, the table indexed by that
     byte: entry b is the sum, from `empty`, of `unit(a)` over the atoms a
@@ -471,7 +447,18 @@ def _byte_tables(n: int, empty, unit) -> list[list]:
     return tables
 
 
-def _exhaustive_tauberian(system: AtomicSystem, alpha: Fraction, one_sided: bool) -> TauberianEstimate:
+def _tauberian(system: AtomicSystem, alpha: Fraction, halo_of, max_enum: int,
+               rng_seed: int, budget: int) -> TauberianEstimate:
+    """The supremum of halo measure over set measure for this halo function:
+    exhaustive up to ``max_enum`` atoms, a flagged heuristic bound beyond."""
+    alpha = require_alpha(alpha)
+    _require_valid(system)
+    if system.atom_count <= max_enum:
+        return _exhaustive_tauberian(system, alpha, halo_of)
+    return _heuristic_tauberian(system, alpha, halo_of, rng_seed, budget)
+
+
+def _exhaustive_tauberian(system: AtomicSystem, alpha: Fraction, halo_of) -> TauberianEstimate:
     """One halo per class of subsets under the group the generators generate.
 
     Masks are walked in increasing order; an unseen mask represents a new
@@ -483,7 +470,6 @@ def _exhaustive_tauberian(system: AtomicSystem, alpha: Fraction, one_sided: bool
     which keeps the witness the least maximiser over all subsets.
     """
     n = system.atom_count
-    halo_of = one_sided_ergodic_halo if one_sided else ergodic_halo
     denom = lcm(*(m.denominator for m in system.masses))
     weight = [m.numerator * (denom // m.denominator) for m in system.masses]
     atoms_of = _byte_tables(n, (), lambda a: (a,))
@@ -531,7 +517,7 @@ def _exhaustive_tauberian(system: AtomicSystem, alpha: Fraction, one_sided: bool
 def _heuristic_tauberian(
     system: AtomicSystem,
     alpha: Fraction,
-    one_sided: bool,
+    halo_of,
     rng_seed: int,
     budget: int,
 ) -> TauberianEstimate:
@@ -544,7 +530,8 @@ def _heuristic_tauberian(
     def ratio_of(atoms: tuple[int, ...]) -> Fraction:
         nonlocal evals
         evals += 1
-        return _subset_ratio(system, atoms, alpha, one_sided)
+        E = MeasurableSet(system=system, atoms=atoms)
+        return halo_of(system, E, alpha).measure / E.measure
 
     seeds: list[tuple[int, ...]] = []
     if system.dim == 1:
@@ -606,11 +593,7 @@ def exact_tauberian(
     subsets.  Beyond ``max_enum`` an explicitly flagged heuristic lower bound
     is returned.
     """
-    alpha = require_alpha(alpha)
-    _require_valid(system)
-    if system.atom_count <= max_enum:
-        return _exhaustive_tauberian(system, alpha, one_sided=False)
-    return _heuristic_tauberian(system, alpha, False, rng_seed, budget)
+    return _tauberian(system, alpha, ergodic_halo, max_enum, rng_seed, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -631,13 +614,8 @@ class TowerBase:
         return out
 
     def is_disjoint(self) -> bool:
-        seen: set[int] = set()
-        for tr in self.translates():
-            for a in tr:
-                if a in seen:
-                    return False
-                seen.add(a)
-        return True
+        translates = self.translates()
+        return len(set().union(*translates)) == sum(map(len, translates))
 
 
 @dataclass(frozen=True)
@@ -734,7 +712,7 @@ def transfer_witness(system: AtomicSystem, discrete_E: LatticeSet, alpha: Fracti
     witness_atoms = [apply_power(system, base_atom, pt) for pt in shifted_E.points]
     E = MeasurableSet.of(system, witness_atoms)
     ergodic_ratio = ergodic_halo_measure(system, E, alpha) / E.measure
-    discrete_ratio = Fraction(len(discrete_halo.members), len(discrete_E))
+    discrete_ratio = discrete_halo.ratio
     if ergodic_ratio < discrete_ratio:
         raise AssertionError("transference inequality violated; this is a bug")
     return TransferResult(
@@ -804,16 +782,10 @@ def one_sided_ergodic_halo(system: AtomicSystem, E: MeasurableSet, alpha: Fracti
     atoms_in_E = set(E.atoms)
     members: list[int] = []
     for cyc in _cycles(system.generators[0]):
-        P = len(cyc)
         w = [q - p if a in atoms_in_E else -p for a in cyc]
-        x = w * 2
-        G = [0] * (2 * P + 1)
-        for i, v in enumerate(x):
-            G[i + 1] = G[i] + v
-        up = _windowed_max(G, P)  # up[j] = max G[j : j+P]
-        for i in range(P):
-            if up[i + 1] - G[i] > 0:
-                members.append(cyc[i])
+        G = list(accumulate(w * 2, initial=0))
+        up = _windowed_max(G, len(cyc))  # up[j] = max G[j : j + P], P the period
+        members.extend(a for i, a in enumerate(cyc) if up[i + 1] - G[i] > 0)
     return MeasurableSet.of(system, members)
 
 
@@ -828,11 +800,6 @@ def one_sided_exact_tauberian(
     rng_seed: int = 0,
     budget: int = 2000,
 ) -> TauberianEstimate:
-    """One-sided analogue of :func:`exact_tauberian`."""
-    alpha = require_alpha(alpha)
-    _require_valid(system)
-    if system.dim != 1:
-        raise DomainError("one-sided ergodic operators take a single transformation")
-    if system.atom_count <= max_enum:
-        return _exhaustive_tauberian(system, alpha, one_sided=True)
-    return _heuristic_tauberian(system, alpha, True, rng_seed, budget)
+    """One-sided analogue of :func:`exact_tauberian`; the one-sided halo
+    refuses a system of more than one transformation."""
+    return _tauberian(system, alpha, one_sided_ergodic_halo, max_enum, rng_seed, budget)

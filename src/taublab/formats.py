@@ -70,21 +70,19 @@ def halo_to_csv(h: HaloSet) -> str:
     header = ",".join(f"x{i}" for i in range(h.members.dim))
     lines = [header]
     lines.extend(",".join(str(c) for c in p) for p in h.members.points)
-    ratio = Fraction(len(h.members), len(h.source))
     lines.append(
         f"# alpha={format_rational(h.alpha)} members={len(h.members)} "
-        f"source={len(h.source)} ratio={format_rational(ratio)}"
+        f"source={len(h.source)} ratio={format_rational(h.ratio)}"
     )
     return "\n".join(lines) + "\n"
 
 
 def halo_to_json_dict(h: HaloSet) -> dict:
-    ratio = Fraction(len(h.members), len(h.source))
     return {
         "alpha": format_rational(h.alpha),
         "members": [list(p) for p in h.members.points],
         "source": [list(p) for p in h.source.points],
-        "ratio": format_rational(ratio),
+        "ratio": format_rational(h.ratio),
     }
 
 

@@ -139,6 +139,11 @@ class HaloSet:
     members: LatticeSet
     source: LatticeSet
 
+    @property
+    def ratio(self) -> Fraction:
+        """#members / #source, the Tauberian ratio of the source at alpha."""
+        return Fraction(len(self.members), len(self.source))
+
 
 # ---------------------------------------------------------------------------
 # Covered-segment engine.
@@ -332,8 +337,7 @@ def halo(E: LatticeSet, alpha: Fraction) -> HaloSet:
 def halo_ratio(E: LatticeSet, alpha: Fraction) -> Fraction:
     """#halo(E, alpha) / #E, the quantity whose supremum over E is the
     Tauberian constant at alpha."""
-    h = halo(E, alpha)
-    return Fraction(len(h.members), len(E))
+    return halo(E, alpha).ratio
 
 
 def _halo_1d(E: LatticeSet, p: int, q: int) -> LatticeSet:
@@ -346,28 +350,22 @@ def _halo_1d(E: LatticeSet, p: int, q: int) -> LatticeSet:
 
 
 def _halo_2d(E: LatticeSet, p: int, q: int) -> LatticeSet:
-    r_lo = min(pt[0] for pt in E.points)
-    r_hi = max(pt[0] for pt in E.points)
+    r_lo, r_hi = E.points[0][0], E.points[-1][0]
     c_lo = min(pt[1] for pt in E.points)
     c_hi = max(pt[1] for pt in E.points)
     H = r_hi - r_lo + 1
     C = c_hi - c_lo + 1
-    # cum[i][c]: points of E with row < r_lo + i in span column c
-    cum = [[0] * C]
-    cells = {(pt[0] - r_lo, pt[1] - c_lo) for pt in E.points}
-    for i in range(H):
-        row = cum[-1][:]
-        for c in range(C):
-            if (i, c) in cells:
-                row[c] += 1
-        cum.append(row)
+    row_cols: list[list[int]] = [[] for _ in range(H)]  # span columns of E per band row
+    for r, c in E.points:
+        row_cols[r - r_lo].append(c - c_lo)
 
     cover: dict[int, list[tuple[int, int]]] = {}
 
-    def mark(rows, weights: list[int], penalty: int) -> bool:
-        """Add the columns of the positive runs of the weights to every row;
-        False when no span cell lies in a positive run."""
-        flags, left, right = _covered_segments(weights, penalty)
+    def mark(rows, counts: list[int], h: int) -> bool:
+        """Add the columns of the positive runs of q * count - p * h, boxes of
+        height h, to every row; False when no span cell lies in such a run."""
+        ph = p * h
+        flags, left, right = _covered_segments([q * n - ph for n in counts], ph)
         if not any(flags):
             return False
         intervals = _flags_to_intervals(flags, c_lo)
@@ -379,34 +377,26 @@ def _halo_2d(E: LatticeSet, p: int, q: int) -> LatticeSet:
             cover.setdefault(r, []).extend(intervals)
         return True
 
-    # boxes whose rows stay inside the row band of E
+    # Boxes over the band rows [ai, bi], with the column counts grown one row
+    # at a time.  A box leaving the band is such a range touching an edge plus
+    # t empty rows beyond it, each costing p per cell; it covers row edge +- t.
     for ai in range(H):
-        top = cum[ai]
+        counts = [0] * C
         for bi in range(ai, H):
-            bot = cum[bi + 1]
-            ph = p * (bi - ai + 1)
-            weights = [q * (bot[c] - top[c]) - ph for c in range(C)]
-            mark(range(r_lo + ai, r_lo + bi + 1), weights, ph)
-
-    # boxes sticking out of the row band cover rows r_hi + t (in-band part
-    # [r_lo + k, r_hi]) or r_lo - t (in-band part [r_lo, r_lo + k]); each empty
-    # extension row costs p per cell
-    for k in range(H):
-        above = [q * (cum[H][c] - cum[k][c]) for c in range(C)]
-        below = [q * cum[k + 1][c] for c in range(C)]
-        for base, h0, edge, step in ((above, H - k, r_hi, 1), (below, k + 1, r_lo, -1)):
-            t = 1
-            while True:
-                ph = p * (h0 + t)
-                if not mark((edge + step * t,), [b - ph for b in base], ph):
-                    break
-                t += 1
+            for c in row_cols[bi]:
+                counts[c] += 1
+            h = bi - ai + 1
+            mark(range(r_lo + ai, r_lo + bi + 1), counts, h)
+            for edge, step, touches in ((r_lo, -1, ai == 0), (r_hi, 1, bi == H - 1)):
+                t = 1
+                while touches and mark((edge + step * t,), counts, h + t):
+                    t += 1
 
     pts = []
-    for row, intervals in cover.items():
-        for a, b in _merge_intervals(intervals):
+    for row in sorted(cover):
+        for a, b in _merge_intervals(cover[row]):
             pts.extend((row, c) for c in range(a, b + 1))
-    return LatticeSet(dim=2, points=tuple(sorted(pts)))
+    return LatticeSet(dim=2, points=tuple(pts))
 
 
 def _halo_nd(E: LatticeSet, p: int, q: int, alpha: Fraction) -> LatticeSet:
@@ -457,10 +447,7 @@ def one_sided_max(E: LatticeSet, m) -> Fraction:
     """sup over N >= 1 of #(E in [m, m+N-1]) / N; zero when no forward window
     meets E.  The maximum is attained with the window ending at a point of E."""
     _check_one_sided(E)
-    pt = _as_point(m)
-    if len(pt) != 1:
-        raise DomainError("point dimension mismatch")
-    m0 = pt[0]
+    (m0,) = _check_operator_input(E, m)
     xs = [pnt[0] for pnt in E.points]
     if m0 > xs[-1]:
         return Fraction(0)
@@ -491,8 +478,7 @@ def one_sided_halo(E: LatticeSet, alpha: Fraction) -> HaloSet:
 
 
 def one_sided_halo_ratio(E: LatticeSet, alpha: Fraction) -> Fraction:
-    h = one_sided_halo(E, alpha)
-    return Fraction(len(h.members), len(E))
+    return one_sided_halo(E, alpha).ratio
 
 
 # ---------------------------------------------------------------------------

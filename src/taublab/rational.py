@@ -49,12 +49,13 @@ def format_rational(value: Fraction) -> str:
 
 
 def require_alpha(alpha: Fraction) -> Fraction:
-    """Validate a level threshold: must be a rational strictly inside (0, 1)."""
+    """Validate a level threshold: must be a rational strictly inside (0, 1).
+    A string is read by :func:`parse_rational`, as on the command line."""
     if isinstance(alpha, float):
         raise DomainError(
             f"threshold {alpha!r} is a float; thresholds must be exact rationals"
         )
-    alpha = Fraction(alpha)
+    alpha = parse_rational(alpha) if isinstance(alpha, str) else Fraction(alpha)
     if not (0 < alpha < 1):
         raise DomainError(f"threshold must lie strictly inside (0, 1), got {alpha}")
     return alpha

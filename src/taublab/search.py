@@ -49,10 +49,10 @@ class SearchConfig:
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError("dimension must be >= 1")
-        if len(self.window) != self.dim:
+        if len(_require_window(self.window)) != self.dim:
             raise DomainError("window must give bounds for every axis")
-        if any(lo > hi for lo, hi in self.window):
-            raise DomainError("window bounds must satisfy lo <= hi")
+        if self.max_block < 1 or self.budget < 0:
+            raise DomainError("a search needs max_block >= 1 and budget >= 0")
         if self.strategy not in STRATEGIES:
             raise DomainError(f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}")
         if self.one_sided and self.dim != 1:
@@ -72,6 +72,14 @@ class SearchConfig:
             "one_sided": self.one_sided,
             "anneal_seed_block": self.anneal_seed_block,
         }
+
+
+def _require_window(window) -> tuple[tuple[int, int], ...]:
+    """Integer (lo, hi) bounds with lo <= hi on each of at least one axis."""
+    window = tuple(require_integers(bounds, "window bounds") for bounds in window)
+    if not window or any(len(bounds) != 2 or bounds[0] > bounds[1] for bounds in window):
+        raise DomainError("a window is one or more (lo, hi) pairs with lo <= hi")
+    return window
 
 
 def _ratio(E: LatticeSet, alpha: Fraction, one_sided: bool) -> Fraction:
@@ -104,9 +112,7 @@ def exhaustive_search(window, alpha: Fraction, one_sided: bool = False) -> Taube
     minima are 0.
     """
     alpha = require_alpha(alpha)
-    window = tuple(require_integers(bounds, "window bounds") for bounds in window)
-    if any(lo > hi for lo, hi in window):
-        raise DomainError("window bounds must satisfy lo <= hi")
+    window = _require_window(window)
     card = 1
     for lo, hi in window:
         card *= hi - lo + 1
@@ -114,20 +120,17 @@ def exhaustive_search(window, alpha: Fraction, one_sided: bool = False) -> Taube
         raise DomainError(
             f"window has {card} points; exhaustive search refuses above {EXHAUSTIVE_WINDOW_LIMIT}"
         )
-    points = list(_cartesian(*(range(lo, hi + 1) for lo, hi in window)))
-    lows = tuple(lo for lo, _ in window)
-    n = len(window)
+    # translated once; the product order is lexicographic, so is every subset
+    points = list(_cartesian(*(range(hi - lo + 1) for lo, hi in window)))
+    # faces[i] has the bits of the points on the window's low face along axis i
+    faces = [sum(1 << j for j, p in enumerate(points) if p[i] == 0) for i in range(len(window))]
     best = LexMax()
     for mask in range(1, 1 << len(points)):
-        chosen = [points[i] for i in range(len(points)) if mask >> i & 1]
-        canonical = all(min(p[i] for p in chosen) == lows[i] for i in range(n))
-        if not canonical:
-            continue
-        E = LatticeSet.from_points(
-            tuple(tuple(c - lo for c, lo in zip(p, lows)) for p in chosen)
-        )
-        _offer(best, _ratio(E, alpha, one_sided), E)
-    return _estimate(alpha, best, n, "exhaustive", "exact")
+        if all(mask & face for face in faces):
+            chosen = tuple(p for j, p in enumerate(points) if mask >> j & 1)
+            E = LatticeSet(dim=len(window), points=chosen)
+            _offer(best, _ratio(E, alpha, one_sided), E)
+    return _estimate(alpha, best, len(window), "exhaustive", "exact")
 
 
 def _family_members(family: str, dim: int, max_block: int):
@@ -288,6 +291,8 @@ def sweep(alpha_grid, config: SearchConfig) -> SweepResult:
     best over all witnesses.  Halo nesting makes each witness's ratio
     nonincreasing in alpha, hence so is the envelope."""
     grid = [require_alpha(a) for a in alpha_grid]
+    if not grid:
+        raise DomainError("threshold grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("threshold grid must be strictly increasing")
     raw = [run_strategy(config, a) for a in grid]
@@ -328,7 +333,7 @@ class ModulusReport:
     note: str = PROBE_DISCLAIMER
 
 
-def reference_sweep(curve, config: SearchConfig | None = None) -> SweepResult:
+def reference_sweep(curve) -> SweepResult:
     """Wrap an explicit (alpha, value) curve as a SweepResult, for probing
     closed-form references.  Witnesses are absent; mode is 'reference'."""
     entries = []
@@ -339,8 +344,7 @@ def reference_sweep(curve, config: SearchConfig | None = None) -> SweepResult:
              TauberianEstimate(alpha=alpha, value=Fraction(value), witness=None,
                                strategy="reference", mode="reference"))
         )
-    cfg = config if config is not None else SearchConfig()
-    return SweepResult(entries=tuple(entries), config=cfg)
+    return SweepResult(entries=tuple(entries), config=SearchConfig())
 
 
 def holder_modulus(sweep_result: SweepResult, p: Fraction) -> ModulusReport:

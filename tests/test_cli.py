@@ -131,6 +131,18 @@ class TestSweep:
         )
         assert code == 3
 
+    def test_anneal_without_blocks_exit_3(self, tmp_path, capsys):
+        argv = ["sweep", "--grid", "1/2", "--strategy", "anneal", "--max-block", "0",
+                "--out", tmp_path / "z.csv"]
+        code, _, err = run(argv, capsys)
+        assert code == 3
+        assert err.startswith("domain error:")
+
+    def test_empty_grid_exit_3(self, tmp_path, capsys):
+        code, _, _ = run(["sweep", "--grid", ",", "--out", tmp_path / "e.csv"], capsys)
+        assert code == 3
+        assert not (tmp_path / "e.csv").exists()
+
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         argv = ["sweep", "--grid", "1/2", "--max-block", "4", "--window", "0:3",
                 "--out", tmp_path / "nodir" / "x.csv"]

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from itertools import product
 
 from taublab.ergodic import (
     AtomicSystem,
@@ -208,6 +209,23 @@ def test_index_matches_brute_tower_search():
         system = random_dim1_system(rng, max_atoms=7, uniform=False)
         perm = list(system.generators[0])
         assert index(system).value == brute_tower_index(perm)
+
+
+def test_torus_generators_shift_one_coordinate():
+    """Atom numbers are row-major coordinates; generator i adds 1 modulo the
+    size to coordinate i and keeps the others."""
+    for axes in (1, 2, 3):
+        for sizes in product(range(1, 5), repeat=axes):
+            coords = list(product(*(range(s) for s in sizes)))
+            number = {c: a for a, c in enumerate(coords)}
+            system = make_torus(*sizes)
+            assert system.masses == tuple([F(1, len(coords))] * len(coords))
+            for axis, g in enumerate(system.generators):
+                want = tuple(
+                    number[c[:axis] + ((c[axis] + 1) % sizes[axis],) + c[axis + 1:]]
+                    for c in coords
+                )
+                assert g == want, (sizes, axis)
 
 
 def test_tower_translates_are_disjoint_whenever_built():

@@ -156,6 +156,36 @@ def test_halo_agrees_with_pointwise_eval_3d():
     assert got == want
 
 
+def pointwise_halo(E, alpha):
+    """The halo by evaluating the operator at every point of the bounding box
+    dilated by ceil(#E / alpha), which holds every halo member."""
+    dil = -(-len(E) * alpha.denominator // alpha.numerator)
+    bb = E.bounding_box()
+    box = product(*(range(bb.lo[i] - dil, bb.hi[i] + dil + 1) for i in range(E.dim)))
+    return {m for m in box if eval_strong_max(E, m) > alpha}
+
+
+def test_halo_agrees_with_pointwise_eval_1d():
+    rng = random.Random(41)
+    for _ in range(60):
+        E = LatticeSet.from_points([(x,) for x in rng.sample(range(-5, 6), rng.randint(1, 6))])
+        alpha = F(rng.randint(1, 11), 12)
+        assert set(halo(E, alpha).members.points) == pointwise_halo(E, alpha)
+
+
+def test_halo_agrees_with_pointwise_eval_2d_single_row_or_column():
+    """Planar sets whose bounding box is one row or one column: the row band
+    is a single row, or every band row holds one column."""
+    rng = random.Random(43)
+    for _ in range(40):
+        xs = rng.sample(range(-4, 5), rng.randint(1, 5))
+        at = rng.randint(-2, 2)
+        pts = [(at, x) for x in xs] if rng.random() < 0.5 else [(x, at) for x in xs]
+        E = LatticeSet.from_points(pts)
+        alpha = F(rng.randint(1, 11), 12)
+        assert set(halo(E, alpha).members.points) == pointwise_halo(E, alpha)
+
+
 def brute_lex_least_box(points, m):
     """Lex-least (lo, hi) among the densest boxes containing m whose faces sit
     at coordinates of E or of m, by listing every such box."""

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from taublab.errors import DomainError, InputFormatError
+from taublab.lattice import halo, interval
 from taublab.rational import format_rational, parse_rational, require_alpha
 
 
@@ -35,6 +36,15 @@ def test_require_alpha_bounds():
     for bad in [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)]:
         with pytest.raises(DomainError):
             require_alpha(bad)
+
+
+def test_require_alpha_reads_strings_as_the_cli_does():
+    assert require_alpha("2/3") == Fraction(2, 3)
+    for decimal in ("0.5", "0.6667", "1e-1"):
+        with pytest.raises(InputFormatError, match="exact fraction"):
+            require_alpha(decimal)
+    with pytest.raises(InputFormatError):
+        halo(interval(3), "0.5")
 
 
 def test_require_alpha_rejects_floats():

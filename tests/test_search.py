@@ -52,9 +52,12 @@ class TestExhaustive:
         assert est.value == F(5, 2)
 
     def test_non_integer_or_reversed_window_refused(self):
-        for window in (((0, 3.9),), ((0.5, 3),), ((3, 0),)):
+        for window in (((0, 3.9),), ((0.5, 3),), ((3, 0),), ((0,),), ((0, 1, 2),), ((0, "3"),), ()):
             with pytest.raises(DomainError):
                 exhaustive_search(window, F(1, 2))
+        for window in (((0, 3.9),), ((3, 0),), ((0,),), ((0, "3"),)):
+            with pytest.raises(DomainError):
+                SearchConfig(window=window)
 
     def test_oversized_window_refused(self):
         with pytest.raises(DomainError):
@@ -117,6 +120,11 @@ class TestFamilies:
 
 
 class TestAnneal:
+    def test_config_refuses_no_block_or_negative_budget(self):
+        for bad in ({"max_block": 0}, {"budget": -1}):
+            with pytest.raises(DomainError):
+                SearchConfig(strategy="anneal", **bad)
+
     def test_budget_zero_returns_seed(self):
         cfg = SearchConfig(
             dim=1, window=((0, 23),), strategy="anneal", rng_seed=1, budget=0,
@@ -205,6 +213,8 @@ class TestSweep:
 
     def test_grid_validation(self):
         cfg = SearchConfig()
+        with pytest.raises(DomainError):
+            sweep([], cfg)
         with pytest.raises(DomainError):
             sweep([F(1, 2), F(1, 2)], cfg)
         with pytest.raises(DomainError):
