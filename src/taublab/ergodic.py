@@ -115,6 +115,7 @@ def _require_valid(system: AtomicSystem):
 def make_cyclic(n: int) -> AtomicSystem:
     """Uniform rotation on n atoms; n = 2 is the finite model of the rotation
     by 1/2 on the circle."""
+    (n,) = require_integers((n,), "cyclic size")
     if n < 1:
         raise DomainError("cyclic system needs at least one atom")
     return make_torus(n)
@@ -125,6 +126,7 @@ def make_torus(*sizes: int) -> AtomicSystem:
 
     Atoms are numbered row-major, so the shift along an axis adds the axis
     stride to an atom's number and wraps inside that axis."""
+    sizes = require_integers(sizes, "torus sizes")
     if not sizes:
         raise DomainError("torus needs at least one size")
     if any(s < 1 for s in sizes):

@@ -28,6 +28,9 @@ from .estimate import TauberianEstimate
 from .rational import LexMax, require_alpha, require_integers
 
 Point = tuple[int, ...]
+# A halo is returned by its kernel as sorted disjoint runs along the last axis:
+# (prefix, a, b) stands for the points prefix + (c,) with a <= c <= b.
+Run = tuple[Point, int, int]
 
 
 def _as_point(coords) -> Point:
@@ -102,6 +105,7 @@ def lattice_set(points, dim: int | None = None) -> LatticeSet:
 
 def interval(k: int) -> LatticeSet:
     """The 1-D block {0, ..., k-1}."""
+    (k,) = require_integers((k,), "interval length")
     if k < 1:
         raise DomainError("interval length must be >= 1")
     return LatticeSet(dim=1, points=tuple((i,) for i in range(k)))
@@ -156,14 +160,13 @@ class HaloSet:
 # ---------------------------------------------------------------------------
 
 
-def _line_weights(E: LatticeSet, p: int, q: int) -> tuple[int, int, list[int]]:
-    """(lo, hi, weights) for a 1-D set: q - p on E and -p elsewhere on [lo, hi]."""
-    xs = [pt[0] for pt in E.points]
-    lo, hi = xs[0], xs[-1]
-    weights = [-p] * (hi - lo + 1)
-    for x in xs:
+def _line_weights(E: LatticeSet, p: int, q: int) -> tuple[int, list[int]]:
+    """(lo, weights) for a 1-D set: q - p on E and -p elsewhere on its span."""
+    lo = E.points[0][0]
+    weights = [-p] * (E.points[-1][0] - lo + 1)
+    for (x,) in E.points:
         weights[x - lo] = q - p
-    return lo, hi, weights
+    return lo, weights
 
 
 def _prefix_and_best_end(weights: list[int]) -> tuple[list[int], list[int]]:
@@ -210,18 +213,22 @@ def _covered_segments(weights: list[int], penalty: int):
     return flags, left_reach, right_reach
 
 
-def _flags_to_intervals(flags: list[bool], offset: int) -> list[tuple[int, int]]:
-    out = []
+def _covered_intervals(lo: int, flags: list[bool], left: int, right: int) -> list[tuple[int, int]]:
+    """The cells covered around a span starting at lo, as sorted disjoint
+    intervals: the left reach, the runs of flags, then the right reach."""
+    out = [(lo - left, lo - 1)] if left else []
     i, n = 0, len(flags)
     while i < n:
         if flags[i]:
             j = i
             while j + 1 < n and flags[j + 1]:
                 j += 1
-            out.append((offset + i, offset + j))
+            out.append((lo + i, lo + j))
             i = j + 1
         else:
             i += 1
+    if right:
+        out.append((lo + n, lo + n - 1 + right))
     return out
 
 
@@ -314,6 +321,23 @@ def exceeds(E: LatticeSet, m, alpha: Fraction) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _halo_runs(E: LatticeSet, alpha: Fraction) -> tuple[Fraction, list[Run]]:
+    alpha = require_alpha(alpha)
+    if len(E) == 0:
+        raise DomainError("halo of an empty set is undefined")
+    kernel = _halo_1d if E.dim == 1 else _halo_2d if E.dim == 2 else _halo_nd
+    return alpha, kernel(E, alpha.numerator, alpha.denominator)
+
+
+def _halo_set(E: LatticeSet, alpha: Fraction, runs: list[Run]) -> HaloSet:
+    points = tuple(pre + (c,) for pre, a, b in runs for c in range(a, b + 1))
+    return HaloSet(alpha=alpha, members=LatticeSet(dim=E.dim, points=points), source=E)
+
+
+def _runs_ratio(E: LatticeSet, runs: list[Run]) -> Fraction:
+    return Fraction(sum(b - a + 1 for _, a, b in runs), len(E))
+
+
 def halo(E: LatticeSet, alpha: Fraction) -> HaloSet:
     """Exact level set {m in Z^n : strong max of the indicator of E at m > alpha}.
 
@@ -321,35 +345,21 @@ def halo(E: LatticeSet, alpha: Fraction) -> HaloSet:
     dilated by ceil(#E / alpha) along every axis; only that region (in fact a
     much smaller hyperbolic neighbourhood of the bounding box) is searched.
     """
-    alpha = require_alpha(alpha)
-    if len(E) == 0:
-        raise DomainError("halo of an empty set is undefined")
-    p, q = alpha.numerator, alpha.denominator
-    if E.dim == 1:
-        members = _halo_1d(E, p, q)
-    elif E.dim == 2:
-        members = _halo_2d(E, p, q)
-    else:
-        members = _halo_nd(E, p, q, alpha)
-    return HaloSet(alpha=alpha, members=members, source=E)
+    return _halo_set(E, *_halo_runs(E, alpha))
 
 
 def halo_ratio(E: LatticeSet, alpha: Fraction) -> Fraction:
     """#halo(E, alpha) / #E, the quantity whose supremum over E is the
-    Tauberian constant at alpha."""
-    return halo(E, alpha).ratio
+    Tauberian constant at alpha; counted from the runs, no point is built."""
+    return _runs_ratio(E, _halo_runs(E, alpha)[1])
 
 
-def _halo_1d(E: LatticeSet, p: int, q: int) -> LatticeSet:
-    lo, hi, weights = _line_weights(E, p, q)
-    flags, left, right = _covered_segments(weights, p)
-    pts = [(lo - t,) for t in range(left, 0, -1)]
-    pts += [(lo + i,) for i, f in enumerate(flags) if f]
-    pts += [(hi + t,) for t in range(1, right + 1)]
-    return LatticeSet(dim=1, points=tuple(pts))
+def _halo_1d(E: LatticeSet, p: int, q: int) -> list[Run]:
+    lo, weights = _line_weights(E, p, q)
+    return [((), a, b) for a, b in _covered_intervals(lo, *_covered_segments(weights, p))]
 
 
-def _halo_2d(E: LatticeSet, p: int, q: int) -> LatticeSet:
+def _halo_2d(E: LatticeSet, p: int, q: int) -> list[Run]:
     r_lo, r_hi = E.points[0][0], E.points[-1][0]
     c_lo = min(pt[1] for pt in E.points)
     c_hi = max(pt[1] for pt in E.points)
@@ -368,11 +378,7 @@ def _halo_2d(E: LatticeSet, p: int, q: int) -> LatticeSet:
         flags, left, right = _covered_segments([q * n - ph for n in counts], ph)
         if not any(flags):
             return False
-        intervals = _flags_to_intervals(flags, c_lo)
-        if left:
-            intervals.append((c_lo - left, c_lo - 1))
-        if right:
-            intervals.append((c_hi + 1, c_hi + right))
+        intervals = _covered_intervals(c_lo, flags, left, right)
         for r in rows:
             cover.setdefault(r, []).extend(intervals)
         return True
@@ -392,15 +398,12 @@ def _halo_2d(E: LatticeSet, p: int, q: int) -> LatticeSet:
                 while touches and mark((edge + step * t,), counts, h + t):
                     t += 1
 
-    pts = []
-    for row in sorted(cover):
-        for a, b in _merge_intervals(cover[row]):
-            pts.extend((row, c) for c in range(a, b + 1))
-    return LatticeSet(dim=2, points=tuple(pts))
+    return [((row,), a, b) for row in sorted(cover) for a, b in _merge_intervals(cover[row])]
 
 
-def _halo_nd(E: LatticeSet, p: int, q: int, alpha: Fraction) -> LatticeSet:
-    """Dimension-general fallback: test every point of the pruned region.
+def _halo_nd(E: LatticeSet, p: int, q: int) -> list[Run]:
+    """Dimension-general fallback: test every point of the pruned region, in
+    lexicographic order; each member is a run of one point.
 
     A halo point at per-axis distances d_i from the bounding box needs a box
     with volume at least prod(d_i + 1) and at most #E * q / p lattice points,
@@ -409,12 +412,13 @@ def _halo_nd(E: LatticeSet, p: int, q: int, alpha: Fraction) -> LatticeSet:
     bbox = E.bounding_box()
     budget = len(E) * q  # require prod(d_i + 1) * p < budget
     n = E.dim
-    members = []
+    alpha = Fraction(p, q)
+    runs = []
 
     def walk(axis: int, coords: list[int], partial: int):
         if axis == n:
             if exceeds(E, tuple(coords), alpha):
-                members.append(tuple(coords))
+                runs.append((tuple(coords[:-1]), coords[-1], coords[-1]))
             return
         lo, hi = bbox.lo[axis], bbox.hi[axis]
         reach = budget // (p * partial)  # d + 1 <= reach
@@ -428,7 +432,7 @@ def _halo_nd(E: LatticeSet, p: int, q: int, alpha: Fraction) -> LatticeSet:
             coords.pop()
 
     walk(0, [], 1)
-    return LatticeSet(dim=n, points=tuple(sorted(members)))
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -461,24 +465,26 @@ def one_sided_max(E: LatticeSet, m) -> Fraction:
     return Fraction(best_num, best_den)
 
 
-def one_sided_halo(E: LatticeSet, alpha: Fraction) -> HaloSet:
-    """Level set of the one-sided operator, computed exactly."""
+def _one_sided_runs(E: LatticeSet, alpha: Fraction) -> tuple[Fraction, list[Run]]:
     alpha = require_alpha(alpha)
     _check_one_sided(E)
     p, q = alpha.numerator, alpha.denominator
-    lo, _, weights = _line_weights(E, p, q)
+    lo, weights = _line_weights(E, p, q)
     prefix, suff_max = _prefix_and_best_end(weights)
     # a forward window starts at its own cell i
     flags = [suff_max[i] - prefix[i] > 0 for i in range(len(weights))]
     left = (suff_max[0] - 1) // p if suff_max[0] > 0 else 0  # runs [lo, d] reach left
-    pts = [(lo - t,) for t in range(left, 0, -1)]
-    pts += [(lo + i,) for i, f in enumerate(flags) if f]
-    members = LatticeSet(dim=1, points=tuple(pts))
-    return HaloSet(alpha=alpha, members=members, source=E)
+    return alpha, [((), a, b) for a, b in _covered_intervals(lo, flags, left, 0)]
+
+
+def one_sided_halo(E: LatticeSet, alpha: Fraction) -> HaloSet:
+    """Level set of the one-sided operator, computed exactly."""
+    return _halo_set(E, *_one_sided_runs(E, alpha))
 
 
 def one_sided_halo_ratio(E: LatticeSet, alpha: Fraction) -> Fraction:
-    return one_sided_halo(E, alpha).ratio
+    """#one_sided_halo(E, alpha) / #E, counted without building the halo."""
+    return _runs_ratio(E, _one_sided_runs(E, alpha)[1])
 
 
 # ---------------------------------------------------------------------------

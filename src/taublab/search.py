@@ -47,6 +47,7 @@ class SearchConfig:
     anneal_seed_block: int | None = None
 
     def __post_init__(self):
+        require_integers((self.dim, self.max_block, self.budget), "dim, max_block and budget")
         if self.dim < 1:
             raise DomainError("dimension must be >= 1")
         if len(_require_window(self.window)) != self.dim:

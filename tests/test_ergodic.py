@@ -75,6 +75,16 @@ class TestConstructors:
         with pytest.raises(DomainError):
             make_torus(3, 0)
 
+    def test_torus_refuses_non_integer_sizes(self):
+        for sizes in ((2, 2.0), (2, "3"), (F(3),)):
+            with pytest.raises(DomainError):
+                make_torus(*sizes)
+
+    def test_cyclic_refuses_non_integer_size(self):
+        for n in (2.5, "3", F(3)):
+            with pytest.raises(DomainError):
+                make_cyclic(n)
+
 
 class TestEval:
     def test_two_atom_rotation_off_set(self):

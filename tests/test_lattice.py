@@ -5,6 +5,7 @@ Derived values here were computed with the brute-force oracles in
 are asserted as exact rationals.
 """
 
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -70,6 +71,11 @@ class TestLatticeSet:
         with pytest.raises(DomainError):
             (F(5),) in E
         assert (5,) in E and (True,) not in E
+
+    def test_interval_refuses_non_integer_length(self):
+        for k in (2.5, "3", F(3)):
+            with pytest.raises(DomainError):
+                interval(k)
 
 
 class TestStrongMax:
@@ -145,6 +151,21 @@ class TestHalo:
     def test_empty_set_rejected(self):
         with pytest.raises(DomainError):
             halo(LatticeSet.from_points([], dim=1), F(1, 2))
+
+    def test_ratios_at_tiny_alpha_count_without_building_the_halo(self):
+        """interval(60) has about 6M halo points at 1/100000; the ratios are
+        counted from the reaches, in memory that does not grow with them."""
+        alpha = F(1, 100000)
+        tracemalloc.start()
+        try:
+            two_sided = halo_ratio(interval(60), alpha)
+            one_sided = one_sided_halo_ratio(interval(60), alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert two_sided == F(5999969, 30)
+        assert one_sided == F(5999999, 60)
+        assert peak < 1 << 20
 
 
 class TestOneSided:

@@ -12,6 +12,7 @@ from taublab.lattice import (
     eval_strong_max,
     halo,
     halo_ratio,
+    one_sided_halo,
     one_sided_halo_ratio,
     one_sided_max,
     product_witness,
@@ -184,6 +185,38 @@ def test_halo_agrees_with_pointwise_eval_2d_single_row_or_column():
         E = LatticeSet.from_points(pts)
         alpha = F(rng.randint(1, 11), 12)
         assert set(halo(E, alpha).members.points) == pointwise_halo(E, alpha)
+
+
+def test_ratios_count_the_halo_that_halo_builds():
+    """halo_ratio and one_sided_halo_ratio count the kernels' runs without
+    building points; each must equal the ratio of the halo built from them.
+    The 1-D sets include wide spans and thresholds down to 1/1000, where the
+    reaches beyond the span hold most of the halo; the 2-D sets include single
+    rows and columns, and small thresholds whose boxes leave the row band."""
+    rng = random.Random(808)
+    cases = []
+    for _ in range(80):
+        width = rng.choice((3, 12, 60))
+        xs = rng.sample(range(-width, width), rng.randint(1, 6))
+        q = rng.choice((2, 12, 100, 1000))
+        cases.append((LatticeSet.from_points([(x,) for x in xs]), F(rng.randint(1, q - 1), q)))
+    for _ in range(60):
+        if rng.random() < 0.3:
+            xs, at = rng.sample(range(-4, 5), rng.randint(1, 4)), rng.randint(-2, 2)
+            pts = [(at, x) for x in xs] if rng.random() < 0.5 else [(x, at) for x in xs]
+        else:
+            pool = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+            pts = rng.sample(pool, rng.randint(1, 5))
+        q = rng.choice((12, 40))
+        cases.append((LatticeSet.from_points(pts), F(rng.randint(1, q - 1), q)))
+    for _ in range(12):
+        pool = list(product(range(3), repeat=3))
+        cases.append((LatticeSet.from_points(rng.sample(pool, rng.randint(1, 3))),
+                      F(rng.randint(4, 11), 12)))
+    for E, alpha in cases:
+        assert halo_ratio(E, alpha) == halo(E, alpha).ratio
+        if E.dim == 1:
+            assert one_sided_halo_ratio(E, alpha) == one_sided_halo(E, alpha).ratio
 
 
 def brute_lex_least_box(points, m):

@@ -125,6 +125,11 @@ class TestAnneal:
             with pytest.raises(DomainError):
                 SearchConfig(strategy="anneal", **bad)
 
+    def test_config_refuses_non_integer_sizes(self):
+        for bad in ({"budget": "3"}, {"budget": 2.0}, {"max_block": 2.5}, {"dim": "1"}):
+            with pytest.raises(DomainError):
+                SearchConfig(strategy="anneal", **bad)
+
     def test_budget_zero_returns_seed(self):
         cfg = SearchConfig(
             dim=1, window=((0, 23),), strategy="anneal", rng_seed=1, budget=0,
