@@ -9,17 +9,18 @@ shortened without decreasing the window density (split off a full period; the
 density of the split-off block is the full-period average, which is itself
 attained by a window of length exactly Q containing the origin).
 
-The halo at alpha = p/q is the union of the windows W of positive weight
-q * #(E in W) - p * #W, with multiplicity along the orbit: every atom of such
-a window exceeds alpha, and a halo atom lies in its own witnessing window.
-The same split keeps a positive window positive while it is cut to at most
-2Q_i - 1 cells on each axis around any atom it holds (drop a full period
-when its weight is not positive, else keep the Q_i-window through the atom).
-So the halo is found orbit by orbit, by covering the period grid of the
-orbit with its short positive windows, not by evaluating the operator atom
-by atom.  Halos, halo measures, Tauberian ratios and their exhaustive suprema
-over all nonempty atom subsets are computed exactly, with rational
-arithmetic end to end.
+The value at an atom is the lattice strong maximum at 0 of the orbit's
+pattern {j : U^j atom in E} over one patch of periods: Calderon's
+transference in finite form.  The halo at alpha = p/q is the union of the
+windows W along the orbit of positive weight q * #(E in W) - p * #W (a halo
+atom lies in its own witnessing window), and the same split keeps such a
+window positive while it is cut to at most 2Q_i - 1 cells on each axis
+around any atom it holds.  So the halo is found orbit by orbit, by covering
+the period grid with short positive windows; on a cycle that is the lattice
+covered-segment scan of a tripled copy, or the best forward ends over a
+doubled copy for the one-sided operator.  Halos, halo measures, Tauberian
+ratios and their exhaustive suprema over all nonempty atom subsets are
+computed exactly, with rational arithmetic end to end.
 
 Each generator commutes with the others and preserves mass, so it carries the
 halo of E onto the halo of its image: the Tauberian ratio is constant on every
@@ -31,18 +32,18 @@ the class representative.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress, product as _cartesian
+from itertools import compress, product as _cartesian
 from math import lcm, prod
 from operator import add
 import random
 
 from .errors import DomainError
 from .estimate import TauberianEstimate
-from .lattice import LatticeSet, halo as lattice_halo
+from .lattice import (LatticeSet, _covered_segments, _prefix_and_best_end, eval_strong_max,
+                      halo as lattice_halo)
 from .rational import LexMax, require_alpha, require_integers
 
 EXHAUSTIVE_ATOM_LIMIT = 20
@@ -251,13 +252,10 @@ def eval_ergodic_max(
     """Exact supremum of window averages of the indicator of E along the orbit
     of the atom, over integer boxes containing the origin.
 
-    With ``side_bound=None`` each axis enumerates window arms up to its orbit
-    period minus one, which attains the supremum; an explicit bound instead
-    enumerates arms 0..side_bound on every axis (used by soundness checks).
-    In every dimension the orbit is patched over those arms; each window
-    through the origin on the first n - 1 axes, grown one slice at a time,
-    sums the patch into one column along the last axis, whose runs through
-    the origin are prefix pairs compared by integer cross-multiplication.
+    With ``side_bound=None`` each axis takes window arms up to its orbit
+    period minus one, which attains the supremum; an explicit bound takes
+    arms 0..side_bound on every axis (used by soundness checks).  The value
+    is the lattice strong maximum at 0 of the orbit's pattern over those arms.
     """
     _check_set(system, E)
     atom = _require_atom(system, atom)
@@ -272,53 +270,17 @@ def eval_ergodic_max(
 
 
 def _eval_max(system: AtomicSystem, in_E: set[int], atom: int, arms: list[int]) -> Fraction:
-    """Best density of the boxes [-a_i, b_i], 0 <= a_i, b_i <= arms[i], around
-    the atom: a window start in [0, arm] and end in [arm, 2 arm] per axis."""
+    """Best density of the boxes [-a_i, b_i], 0 <= a_i, b_i <= arms[i]: the
+    lattice maximum at 0 of the pattern, whose maximising box has its faces at
+    pattern coordinates or 0, so lies in the patch and is one of these boxes."""
     flat = [atom]  # row-major patch of orbit atoms over offsets [-arm_i, arm_i]
     for axis, arm in enumerate(arms):
         flat = [a for b in flat for a in _axis_line(system, b, axis, arm, arm)]
-    best_num, best_den = 0, 1
-
-    def columns(axis: int, slab: list[int], vol: int) -> None:
-        nonlocal best_num, best_den
-        arm = arms[axis]
-        if axis == len(arms) - 1:
-            prefix = list(accumulate(slab, initial=0))
-            rights = prefix[arm + 1 :]  # prefix[j] for j = arm + 1 .. 2 arm + 1
-            for i in range(arm + 1):
-                left, size = prefix[i], vol * (arm + 1 - i)
-                for right in rights:  # the run of cells i .. j - 1
-                    if (right - left) * best_den > best_num * size:
-                        best_num, best_den = right - left, size
-                    size += vol
-            return
-        inner = len(slab) // (2 * arm + 1)
-        for start in range(arm + 1):
-            acc = [0] * inner
-            for end in range(start, 2 * arm + 1):
-                r = end * inner
-                acc = list(map(add, acc, slab[r : r + inner]))
-                if end >= arm:
-                    columns(axis + 1, acc, vol * (end - start + 1))
-
-    columns(0, [1 if a in in_E else 0 for a in flat], 1)
-    return Fraction(best_num, best_den)
-
-
-def _windowed_max(arr: list[int], w: int) -> list[int]:
-    """out[j] = max(arr[j : j + w]) by a monotone deque; a sliding minimum is
-    the negated maximum of the negated values."""
-    out = []
-    dq: deque[int] = deque()
-    for i, v in enumerate(arr):
-        while dq and arr[dq[-1]] <= v:
-            dq.pop()
-        dq.append(i)
-        if dq[0] <= i - w:
-            dq.popleft()
-        if i >= w - 1:
-            out.append(arr[dq[0]])
-    return out
+    offsets = _cartesian(*(range(-arm, arm + 1) for arm in arms))  # row-major is lexicographic
+    pattern = tuple(pt for pt, a in zip(offsets, flat) if a in in_E)
+    if not pattern:
+        return Fraction(0)
+    return eval_strong_max(LatticeSet(dim=len(arms), points=pattern), (0,) * len(arms))
 
 
 def _covered_cyclic(w: list[int]) -> list[bool]:
@@ -326,19 +288,16 @@ def _covered_cyclic(w: list[int]) -> list[bool]:
     positive total with both arms around i shorter than the cycle.
 
     If the full-period total is positive every cell is covered (repeat the
-    period); otherwise the best right end minus the best left start is read
-    off sliding prefix extrema over a tripled copy of the cycle.
+    period); otherwise these are the lattice covered segments of the middle
+    copy of a tripled cycle, since cutting a period from an arm of P cells or
+    more keeps a run positive.  The reaches are unused: any penalty serves.
     """
     P = len(w)
     if max(w) <= 0:
         return [False] * P
     if sum(w) > 0:
         return [True] * P
-    G = list(accumulate(w * 3, initial=0))
-    # arms a, b in [0, P-1]: max over b of G[i+P+b+1] minus min over a of G[i+P-a]
-    ends = _windowed_max(G[P + 1 :], P)  # ends[i] = max G[i+P+1 : i+2P+1]
-    starts = _windowed_max([-g for g in G[1 : 2 * P]], P)  # starts[i] = -min G[i+1 : i+P+1]
-    return [e + s > 0 for e, s in zip(ends, starts)]
+    return _covered_segments(w * 3, 1)[0][P : 2 * P]
 
 
 def ergodic_halo(system: AtomicSystem, E: MeasurableSet, alpha: Fraction) -> MeasurableSet:
@@ -785,9 +744,10 @@ def one_sided_ergodic_halo(system: AtomicSystem, E: MeasurableSet, alpha: Fracti
     members: list[int] = []
     for cyc in _cycles(system.generators[0]):
         w = [q - p if a in atoms_in_E else -p for a in cyc]
-        G = list(accumulate(w * 2, initial=0))
-        up = _windowed_max(G, len(cyc))  # up[j] = max G[j : j + P], P the period
-        members.extend(a for i, a in enumerate(cyc) if up[i + 1] - G[i] > 0)
+        # forward runs over a doubled cycle: one longer than P cells is cut
+        # to P when the period total is positive, else it loses a period
+        prefix, best_end = _prefix_and_best_end(w * 2)
+        members.extend(a for i, a in enumerate(cyc) if best_end[i] > prefix[i])
     return MeasurableSet.of(system, members)
 
 

@@ -152,11 +152,12 @@ class HaloSet:
 # ---------------------------------------------------------------------------
 # Covered-segment engine.
 #
-# One-dimensional workhorse shared by the 1-D halo, the one-sided halo, and
-# every row-range of the 2-D halo.  Given integer weights on a contiguous
-# span of cells, where every cell outside the span would contribute the
-# uniform negative weight -penalty, it reports which cells lie inside some
-# contiguous run with strictly positive total.
+# One-dimensional workhorse shared by the 1-D halo, the one-sided halo, every
+# row-range of the 2-D halo, and the ergodic cycle scans (a tripled cycle for
+# the two-sided halos, a doubled one for the one-sided halo).  Given integer
+# weights on a contiguous span of cells, where every cell outside the span
+# would contribute the uniform negative weight -penalty, it reports which
+# cells lie inside some contiguous run with strictly positive total.
 # ---------------------------------------------------------------------------
 
 

@@ -47,7 +47,10 @@ class SearchConfig:
     anneal_seed_block: int | None = None
 
     def __post_init__(self):
-        require_integers((self.dim, self.max_block, self.budget), "dim, max_block and budget")
+        require_integers((self.dim, self.max_block, self.budget, self.rng_seed),
+                         "dim, max_block, budget and rng_seed")
+        if self.anneal_seed_block is not None:
+            require_integers((self.anneal_seed_block,), "anneal seed block")
         if self.dim < 1:
             raise DomainError("dimension must be >= 1")
         if len(_require_window(self.window)) != self.dim:
@@ -340,6 +343,8 @@ def reference_sweep(curve) -> SweepResult:
     entries = []
     for alpha, value in curve:
         alpha = require_alpha(alpha)
+        if isinstance(value, float):
+            raise DomainError(f"reference value {value!r} is a float; values must be exact rationals")
         entries.append(
             (alpha,
              TauberianEstimate(alpha=alpha, value=Fraction(value), witness=None,

@@ -136,6 +136,26 @@ def brute_ergodic_max(generators, atom, in_E, side):
     return best
 
 
+def brute_one_sided_ergodic_halo(perm, in_E, alpha):
+    """Atoms with a forward window atom, T atom, ..., T^(N-1) atom of density
+    above alpha, N from 1 to the period of the atom's cycle, by direct scan.
+    `perm` is the transformation as an index list, `in_E` a predicate."""
+    alpha = Fraction(alpha)
+    members = []
+    for atom in range(len(perm)):
+        period, a = 1, perm[atom]
+        while a != atom:
+            a, period = perm[a], period + 1
+        window = []
+        for _ in range(period):
+            window.append(a)
+            a = perm[a]
+            if Fraction(sum(1 for b in window if in_E(b)), len(window)) > alpha:
+                members.append(atom)
+                break
+    return members
+
+
 def brute_exact_tauberian(system, alpha, one_sided=False):
     """(value, witness) of the exact Tauberian constant by enumerating every
     nonempty atom subset: the largest halo measure over set measure, and the

@@ -103,6 +103,22 @@ class TestEval:
         E = MeasurableSet.of(system, [1, 2])
         assert eval_ergodic_max(system, E, 0) == F(4, 5)
 
+    def test_orbit_missing_the_set_gives_zero(self):
+        # two 2-cycles, and in 2-D two disjoint copies of the 2 x 2 torus;
+        # the empty pattern of the far orbit has value 0 at every side bound
+        line = AtomicSystem(masses=(F(1, 4),) * 4, dim=1, generators=((1, 0, 3, 2),))
+        E = MeasurableSet.of(line, [0, 1])
+        assert [eval_ergodic_max(line, E, a) for a in range(4)] == [1, 1, 0, 0]
+        assert eval_ergodic_max(line, E, 3, side_bound=5) == 0
+        t22 = make_torus(2, 2)
+        gens = tuple(g + tuple(x + 4 for x in g) for g in t22.generators)
+        plane = AtomicSystem(masses=(F(1, 8),) * 8, dim=2, generators=gens)
+        assert validate_system(plane).ok
+        E = MeasurableSet.of(plane, [1])
+        assert eval_ergodic_max(plane, E, 0) == F(2, 3)  # the window [-1, 1] on axis 1
+        assert [eval_ergodic_max(plane, E, a) for a in range(4, 8)] == [0] * 4
+        assert eval_ergodic_max(plane, E, 6, side_bound=3) == 0
+
     def test_invalid_atom(self):
         system = make_cyclic(2)
         E = MeasurableSet.of(system, [0])

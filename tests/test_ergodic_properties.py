@@ -14,12 +14,19 @@ from taublab.ergodic import (
     index,
     make_cyclic,
     make_torus,
+    one_sided_ergodic_halo,
+    one_sided_ergodic_halo_measure,
     one_sided_exact_tauberian,
     rokhlin_tower,
     validate_system,
 )
 
-from oracles import brute_ergodic_max, brute_exact_tauberian, brute_tower_index
+from oracles import (
+    brute_ergodic_max,
+    brute_exact_tauberian,
+    brute_one_sided_ergodic_halo,
+    brute_tower_index,
+)
 
 
 def random_dim1_system(rng, max_atoms=8, uniform=True):
@@ -332,7 +339,9 @@ def brute_halo_atoms(system, atoms, alpha):
 def test_nd_halo_matches_brute_window_scan():
     """The per-orbit window coverage agrees with a direct window scan where
     the period grid is not the orbit: 3-D tori, U_2 = U_1^k on one cycle, a
-    skewed generator pair, and disjoint orbits of different masses."""
+    skewed generator pair, and disjoint orbits of different masses.  So does
+    the 1-D tripled-cycle scan, on several cycles with a fixed point, on
+    cycles of different masses, and on one 12-cycle."""
     rng = random.Random(59)
     cases = [
         uniform(torus_generators(2, 2, 2)), uniform(torus_generators(1, 2, 3)),
@@ -340,6 +349,8 @@ def test_nd_halo_matches_brute_window_scan():
         uniform(skewed_pair(4, 2, 1)), uniform(skewed_pair(2, 2, 1)),
         disjoint_union(torus_generators(2, 2), power_pair(3, 1), skewed_pair(2, 2, 1)),
         disjoint_union(torus_generators(3, 1), torus_generators(1, 2)),
+        uniform(cycles(5, 3, 1)), disjoint_union(cycles(4), cycles(3), cycles(1), cycles(2)),
+        uniform(cycles(12)),
     ]
     for masses, generators in cases:
         system = relabelled(rng, masses, generators)
@@ -361,6 +372,27 @@ def cycles(*lengths):
         perm += [start + (i + 1) % length for i in range(length)]
         start += length
     return [perm]
+
+
+def test_one_sided_halo_matches_brute_forward_scan():
+    """The one-sided halo and its measure against a direct scan of the
+    forward windows of each atom's cycle, on 1-D systems of several cycles
+    with fixed points and masses that differ from cycle to cycle."""
+    rng = random.Random(67)
+    for _ in range(40):
+        lengths = [rng.choice((1, 1, 2, 3, 4, 7, 12)) for _ in range(rng.randint(1, 5))]
+        masses, generators = disjoint_union(*(cycles(n) for n in lengths))
+        system = relabelled(rng, masses, generators)
+        assert validate_system(system).ok
+        total = system.atom_count
+        perm = list(system.generators[0])
+        for _ in range(3):
+            E = MeasurableSet.of(system, rng.sample(range(total), rng.randint(1, total)))
+            alpha = F(rng.randint(1, 23), 24)
+            want = brute_one_sided_ergodic_halo(perm, set(E.atoms).__contains__, alpha)
+            assert one_sided_ergodic_halo(system, E, alpha).atoms == tuple(want)
+            measure = sum((system.masses[a] for a in want), F(0))
+            assert one_sided_ergodic_halo_measure(system, E, alpha) == measure
 
 
 def test_class_enumeration_matches_full_enumeration():

@@ -130,6 +130,13 @@ class TestAnneal:
             with pytest.raises(DomainError):
                 SearchConfig(strategy="anneal", **bad)
 
+    def test_config_refuses_non_integer_seeds(self):
+        for bad in ({"rng_seed": "3"}, {"rng_seed": 1.5}, {"anneal_seed_block": 2.5},
+                    {"anneal_seed_block": "2"}):
+            with pytest.raises(DomainError):
+                SearchConfig(strategy="anneal", **bad)
+        assert SearchConfig(strategy="anneal", rng_seed=3, anneal_seed_block=None).rng_seed == 3
+
     def test_budget_zero_returns_seed(self):
         cfg = SearchConfig(
             dim=1, window=((0, 23),), strategy="anneal", rng_seed=1, budget=0,
@@ -269,6 +276,12 @@ class TestProbes:
     def test_modulus_fractional_exponent(self):
         report = holder_modulus(self.exact_curve([F(1, 4), F(1, 2), F(3, 4)]), F(1, 2))
         assert isinstance(report.max_quotient, float)
+
+    def test_reference_sweep_refuses_float_values(self):
+        with pytest.raises(DomainError):
+            reference_sweep([(F(1, 4), 0.1), (F(1, 2), F(3))])
+        exact = reference_sweep([(F(1, 4), F(1, 10)), (F(1, 2), 3)])
+        assert [est.value for _, est in exact.entries] == [F(1, 10), F(3)]
 
     def test_modulus_needs_three_points(self):
         with pytest.raises(DomainError):
