@@ -152,22 +152,55 @@ class HaloSet:
 # ---------------------------------------------------------------------------
 # Covered-segment engine.
 #
-# One-dimensional workhorse shared by the 1-D halo, the one-sided halo, every
-# row-range of the 2-D halo, and the ergodic cycle scans (a tripled cycle for
-# the two-sided halos, a doubled one for the one-sided halo).  Given integer
-# weights on a contiguous span of cells, where every cell outside the span
-# would contribute the uniform negative weight -penalty, it reports which
-# cells lie inside some contiguous run with strictly positive total.
+# Given integer weights on a line, where every cell outside a finite span
+# would contribute the uniform negative weight -penalty, report which cells
+# lie inside some contiguous run with strictly positive total.  Two scans,
+# chosen by the shape of the line:
+#
+# * the points-only scan `_point_cover` serves the 1-D halo and the one-sided
+#   halo.  Their lines carry q - p on the points of E and -p on every other
+#   cell, and the span between the points may be far longer than #E, so the
+#   scan reads only the points and the gap lengths: O(#E), whatever the span.
+# * the dense scan `_covered_segments` serves every row-range of the 2-D halo
+#   and the ergodic cycle scans (a tripled cycle for the two-sided halos, a
+#   doubled one for the one-sided halo).  Their lines are short and carry a
+#   weight on most cells, where a per-cell list scan is the cheaper form.
 # ---------------------------------------------------------------------------
 
 
-def _line_weights(E: LatticeSet, p: int, q: int) -> tuple[int, list[int]]:
-    """(lo, weights) for a 1-D set: q - p on E and -p elsewhere on its span."""
-    lo = E.points[0][0]
-    weights = [-p] * (E.points[-1][0] - lo + 1)
-    for (x,) in E.points:
-        weights[x - lo] = q - p
-    return lo, weights
+def _point_cover(xs: list[int], weight: int, penalty: int,
+                 two_sided: bool = True) -> list[tuple[int, int]]:
+    """Sorted disjoint intervals of the cells lying in a run of positive total
+    on the line with weight > 0 at the sorted points xs and -penalty elsewhere;
+    one-sided (two_sided False), a cell counts only in a run starting at it.
+
+    A positive run trimmed to start and end at points stays positive, so all
+    follows from right[i], the best run starting at xs[i], and left[i], the
+    best one ending there (0 one-sided).  Every point covers itself.  A gap
+    after xs[i] costing g = penalty * (empty cells) is covered whole iff
+    left[i] + right[i + 1] > g; otherwise only its cells d <= (left[i] - 1) //
+    penalty right of xs[i] and e <= (right[i + 1] - 1) // penalty left of
+    xs[i + 1], which leave a cell between them uncovered.  The outer reaches
+    come from right[0] and left[-1] the same way.
+    """
+    gaps = [penalty * (y - x - 1) for x, y in zip(xs, xs[1:])]
+    right, left = [weight], [weight]
+    for g in reversed(gaps):
+        right.append(weight + right[-1] - g if right[-1] > g else weight)
+    right.reverse()
+    if two_sided:
+        for g in gaps:
+            left.append(weight + left[-1] - g if left[-1] > g else weight)
+    else:
+        left = [0] * len(xs)
+    out = []
+    a = xs[0] - (right[0] - 1) // penalty
+    for x, y, g, l, r in zip(xs, xs[1:], gaps, left, right[1:]):
+        if l + r <= g:
+            out.append((a, x + max(l - 1, 0) // penalty))
+            a = y - (r - 1) // penalty
+    out.append((a, xs[-1] + max(left[-1] - 1, 0) // penalty))
+    return out
 
 
 def _prefix_and_best_end(weights: list[int]) -> tuple[list[int], list[int]]:
@@ -345,6 +378,8 @@ def halo(E: LatticeSet, alpha: Fraction) -> HaloSet:
     The members always contain E, and are contained in the bounding box of E
     dilated by ceil(#E / alpha) along every axis; only that region (in fact a
     much smaller hyperbolic neighbourhood of the bounding box) is searched.
+    In 1-D only the points of E and the gaps between them are read, so the
+    cost is O(#E) plus the members built, however long the span of E.
     """
     return _halo_set(E, *_halo_runs(E, alpha))
 
@@ -356,8 +391,7 @@ def halo_ratio(E: LatticeSet, alpha: Fraction) -> Fraction:
 
 
 def _halo_1d(E: LatticeSet, p: int, q: int) -> list[Run]:
-    lo, weights = _line_weights(E, p, q)
-    return [((), a, b) for a, b in _covered_intervals(lo, *_covered_segments(weights, p))]
+    return [((), a, b) for a, b in _point_cover([x for (x,) in E.points], q - p, p)]
 
 
 def _halo_2d(E: LatticeSet, p: int, q: int) -> list[Run]:
@@ -470,12 +504,8 @@ def _one_sided_runs(E: LatticeSet, alpha: Fraction) -> tuple[Fraction, list[Run]
     alpha = require_alpha(alpha)
     _check_one_sided(E)
     p, q = alpha.numerator, alpha.denominator
-    lo, weights = _line_weights(E, p, q)
-    prefix, suff_max = _prefix_and_best_end(weights)
-    # a forward window starts at its own cell i
-    flags = [suff_max[i] - prefix[i] > 0 for i in range(len(weights))]
-    left = (suff_max[0] - 1) // p if suff_max[0] > 0 else 0  # runs [lo, d] reach left
-    return alpha, [((), a, b) for a, b in _covered_intervals(lo, flags, left, 0)]
+    xs = [x for (x,) in E.points]
+    return alpha, [((), a, b) for a, b in _point_cover(xs, q - p, p, two_sided=False)]
 
 
 def one_sided_halo(E: LatticeSet, alpha: Fraction) -> HaloSet:

@@ -48,14 +48,18 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def require_rational(value, what: str) -> Fraction:
+    """The value as an exact Fraction.  A float is refused, as it names a
+    binary fraction rather than the decimal it prints as; a string is read by
+    :func:`parse_rational`, as on the command line."""
+    if isinstance(value, float):
+        raise DomainError(f"{what} {value!r} is a float; {what}s must be exact rationals")
+    return parse_rational(value) if isinstance(value, str) else Fraction(value)
+
+
 def require_alpha(alpha: Fraction) -> Fraction:
-    """Validate a level threshold: must be a rational strictly inside (0, 1).
-    A string is read by :func:`parse_rational`, as on the command line."""
-    if isinstance(alpha, float):
-        raise DomainError(
-            f"threshold {alpha!r} is a float; thresholds must be exact rationals"
-        )
-    alpha = parse_rational(alpha) if isinstance(alpha, str) else Fraction(alpha)
+    """Validate a level threshold: must be a rational strictly inside (0, 1)."""
+    alpha = require_rational(alpha, "threshold")
     if not (0 < alpha < 1):
         raise DomainError(f"threshold must lie strictly inside (0, 1), got {alpha}")
     return alpha

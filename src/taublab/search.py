@@ -27,7 +27,7 @@ from .lattice import (
     one_sided_halo_ratio,
     product_witness,
 )
-from .rational import LexMax, require_alpha, require_integers
+from .rational import LexMax, require_alpha, require_integers, require_rational
 
 EXHAUSTIVE_WINDOW_LIMIT = 24
 
@@ -343,11 +343,10 @@ def reference_sweep(curve) -> SweepResult:
     entries = []
     for alpha, value in curve:
         alpha = require_alpha(alpha)
-        if isinstance(value, float):
-            raise DomainError(f"reference value {value!r} is a float; values must be exact rationals")
+        value = require_rational(value, "reference value")
         entries.append(
             (alpha,
-             TauberianEstimate(alpha=alpha, value=Fraction(value), witness=None,
+             TauberianEstimate(alpha=alpha, value=value, witness=None,
                                strategy="reference", mode="reference"))
         )
     return SweepResult(entries=tuple(entries), config=SearchConfig())
@@ -358,7 +357,7 @@ def holder_modulus(sweep_result: SweepResult, p: Fraction) -> ModulusReport:
 
     Exact rational for integer p, float otherwise.
     """
-    p = Fraction(p)
+    p = require_rational(p, "modulus exponent")
     points = [(a, est.value) for a, est in sweep_result.entries]
     if len(points) < 3:
         raise DomainError("modulus probe needs at least 3 grid points")

@@ -84,6 +84,16 @@ class TestHalo:
         lines = out_file.read_text().strip().split("\n")
         assert len(lines) == 1 + 64 + 1
 
+    def test_wide_span_set(self, tmp_path, capsys):
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"dim": 1, "points": [[0], [10**9]]}))
+        out_file = tmp_path / "wide.csv"
+        code, out, _ = run(["halo", wide, "--alpha", "1/2", "--out", out_file], capsys)
+        assert code == 0
+        assert "ratio=1" in out
+        lines = out_file.read_text().strip().split("\n")
+        assert lines[1:3] == ["0", "1000000000"] and len(lines) == 1 + 2 + 1
+
     def test_non_integer_coordinates_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "floats.json"
         bad.write_text(json.dumps({"dim": 1, "points": [[0.5], [2.9], [True]]}))

@@ -22,6 +22,7 @@ from taublab.lattice import (
     interval,
     interval_witness,
     lattice_set,
+    one_sided_halo,
     one_sided_halo_ratio,
     one_sided_max,
     product_witness,
@@ -165,6 +166,21 @@ class TestHalo:
             tracemalloc.stop()
         assert two_sided == F(5999969, 30)
         assert one_sided == F(5999999, 60)
+        assert peak < 1 << 20
+
+    def test_wide_span_costs_its_points_not_its_span(self):
+        """Two points 10^9 apart: the 1-D kernels read the points and the gap
+        length, never the span's cells."""
+        E, alpha = lattice_set([0, 10**9]), F(1, 2)
+        tracemalloc.start()
+        try:
+            halos = [halo(E, alpha), one_sided_halo(E, alpha)]
+            ratios = [halo_ratio(E, alpha), one_sided_halo_ratio(E, alpha)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(h.members == E for h in halos)
+        assert ratios == [1, 1]
         assert peak < 1 << 20
 
 

@@ -19,7 +19,7 @@ from taublab.lattice import (
     strong_max_witness,
 )
 
-from oracles import brute_strong_max, brute_one_sided_max
+from oracles import brute_halo, brute_one_sided_halo, brute_one_sided_max, brute_strong_max
 
 sets_1d = st.frozensets(st.integers(-6, 6), min_size=1, max_size=6).map(
     lambda xs: LatticeSet.from_points([(x,) for x in xs])
@@ -185,6 +185,32 @@ def test_halo_agrees_with_pointwise_eval_2d_single_row_or_column():
         E = LatticeSet.from_points(pts)
         alpha = F(rng.randint(1, 11), 12)
         assert set(halo(E, alpha).members.points) == pointwise_halo(E, alpha)
+
+
+def test_sparse_lines_match_brute_halos():
+    """The 1-D halos read only the points of E and the gaps between them.
+    Each set has one gap of 5..40 cells among gaps of 1..3, at thresholds down
+    to 1/10, so gaps are covered whole, only near their ends, or not at all."""
+    rng = random.Random(1010)
+    for _ in range(20):
+        k = rng.randint(2, 8)
+        gaps = [rng.randint(1, 3) for _ in range(k - 2)]
+        gaps.insert(rng.randint(0, k - 2), rng.randint(5, 40 - 4 * (k - 2)))
+        xs = [sum(gaps[:i]) for i in range(k)]
+        alpha = F(1, rng.randint(2, 10)) if rng.random() < 0.5 else F(rng.randint(1, 9), 10)
+        E = LatticeSet.from_points([(x,) for x in xs])
+        assert list(halo(E, alpha).members.points) == brute_halo(E.points, alpha)
+        assert [m for (m,) in one_sided_halo(E, alpha).members.points] == brute_one_sided_halo(xs, alpha)
+
+
+def test_half_covered_gap():
+    """At 1/4 the best run ending at 0 and the one starting at 7 are worth 3
+    each against a gap of 6 empty cells: two cells at each end are covered."""
+    E = LatticeSet.from_points([(0,), (7,)])
+    h = halo(E, F(1, 4))
+    assert [m for (m,) in h.members.points] == [-2, -1, 0, 1, 2, 5, 6, 7, 8, 9]
+    assert h.ratio == halo_ratio(E, F(1, 4)) == 5
+    assert [m for (m,) in one_sided_halo(E, F(1, 4)).members.points] == [-2, -1, 0, 5, 6, 7]
 
 
 def test_ratios_count_the_halo_that_halo_builds():

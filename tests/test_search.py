@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from taublab.errors import DomainError
+from taublab.errors import DomainError, InputFormatError
 from taublab.formats import sweep_to_csv
 from taublab.lattice import LatticeSet, halo_ratio, interval, interval_witness, one_sided_halo_ratio
 from taublab.search import (
@@ -282,6 +282,17 @@ class TestProbes:
             reference_sweep([(F(1, 4), 0.1), (F(1, 2), F(3))])
         exact = reference_sweep([(F(1, 4), F(1, 10)), (F(1, 2), 3)])
         assert [est.value for _, est in exact.entries] == [F(1, 10), F(3)]
+
+    def test_reference_sweep_reads_strings_as_exact_rationals(self):
+        with pytest.raises(InputFormatError):
+            reference_sweep([(F(1, 4), "0.1"), (F(1, 2), F(3))])
+        exact = reference_sweep([(F(1, 4), "1/10"), (F(1, 2), "3")])
+        assert [est.value for _, est in exact.entries] == [F(1, 10), F(3)]
+
+    def test_modulus_refuses_float_exponent(self):
+        with pytest.raises(DomainError):
+            holder_modulus(self.exact_curve([F(1, 4), F(1, 2), F(3, 4)]), 0.1)
+        assert holder_modulus(self.exact_curve([F(1, 4), F(1, 2), F(3, 4)]), "1/10").exponent == F(1, 10)
 
     def test_modulus_needs_three_points(self):
         with pytest.raises(DomainError):
