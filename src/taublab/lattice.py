@@ -22,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, prod
 
 from .errors import DomainError
 from .estimate import TauberianEstimate
@@ -157,10 +158,11 @@ class HaloSet:
 # lie inside some contiguous run with strictly positive total.  Two scans,
 # chosen by the shape of the line:
 #
-# * the points-only scan `_point_cover` serves the 1-D halo and the one-sided
-#   halo.  Their lines carry q - p on the points of E and -p on every other
-#   cell, and the span between the points may be far longer than #E, so the
-#   scan reads only the points and the gap lengths: O(#E), whatever the span.
+# * the points-only scan `_point_cover` serves the 1-D halo, the one-sided
+#   halo and every axis of the product kernel `_halo_product`.  Their lines
+#   carry q - p on the points of a 1-D set and -p on every other cell, and the
+#   span between the points may be far longer than the set, so the scan reads
+#   only the points and the gap lengths: O(#points), whatever the span.
 # * the dense scan `_covered_segments` serves every row-range of the 2-D halo
 #   and the ergodic cycle scans (a tripled cycle for the two-sided halos, a
 #   doubled one for the one-sided halo).  Their lines are short and carry a
@@ -359,8 +361,13 @@ def _halo_runs(E: LatticeSet, alpha: Fraction) -> tuple[Fraction, list[Run]]:
     alpha = require_alpha(alpha)
     if len(E) == 0:
         raise DomainError("halo of an empty set is undefined")
-    kernel = _halo_1d if E.dim == 1 else _halo_2d if E.dim == 2 else _halo_nd
-    return alpha, kernel(E, alpha.numerator, alpha.denominator)
+    p, q = alpha.numerator, alpha.denominator
+    if E.dim == 1:
+        return alpha, _halo_1d(E, p, q)
+    axes = [sorted({pt[i] for pt in E.points}) for i in range(E.dim)]
+    if prod(map(len, axes)) == len(E):  # E is the product of its coordinate sets
+        return alpha, _halo_product(axes, p, q)
+    return alpha, (_halo_2d if E.dim == 2 else _halo_nd)(E, p, q)
 
 
 def _halo_set(E: LatticeSet, alpha: Fraction, runs: list[Run]) -> HaloSet:
@@ -380,6 +387,13 @@ def halo(E: LatticeSet, alpha: Fraction) -> HaloSet:
     much smaller hyperbolic neighbourhood of the bounding box) is searched.
     In 1-D only the points of E and the gaps between them are read, so the
     cost is O(#E) plus the members built, however long the span of E.
+
+    On a product set E = X_1 x ... x X_n every box is a product of intervals,
+    so the strong maximum factors into the 1-D maxima of the X_i, and the halo
+    is built axis by axis from 1-D point scans (`_halo_product`).  A product
+    of blocks of consecutive integers costs O(sum of #X_i) plus its members;
+    gaps add a scan of the blocks of X_i per halo coordinate of an outer axis
+    and a set-up quadratic in their number.  The span never enters.
     """
     return _halo_set(E, *_halo_runs(E, alpha))
 
@@ -392,6 +406,74 @@ def halo_ratio(E: LatticeSet, alpha: Fraction) -> Fraction:
 
 def _halo_1d(E: LatticeSet, p: int, q: int) -> list[Run]:
     return [((), a, b) for a, b in _point_cover([x for (x,) in E.points], q - p, p)]
+
+
+def _line_values(xs: list[int]):
+    """The exact 1-D strong maximum of the sorted points xs, as a function of m
+    giving (count, length) of a densest box around m.
+
+    Growing a box over an adjacent point never lowers its density, so a
+    densest box has each face at m or at the outer end of a block of
+    consecutive points.  A box over a gap with both faces on points does not
+    depend on m: the best one per gap is found once, in O(B^2) for B blocks.
+    """
+    cum = [0] + [i for i in range(1, len(xs)) if xs[i] != xs[i - 1] + 1] + [len(xs)]
+    starts, ends = [xs[i] for i in cum[:-1]], [xs[i - 1] for i in cum[1:]]
+    B = len(starts)  # block b is xs[cum[b]:cum[b + 1]]
+    over_gap = [(0, 1)] * (B + 1)  # the densest box over the gap before block b
+    for j in range(B - 1):
+        bc, bl = 0, 1
+        for k in range(B - 1, j, -1):
+            c, l = cum[k + 1] - cum[j], ends[k] - starts[j] + 1
+            if c * bl > bc * l:
+                bc, bl = c, l
+            if bc * over_gap[k][1] > over_gap[k][0] * bl:
+                over_gap[k] = (bc, bl)
+
+    def value(m: int) -> tuple[int, int]:
+        b = bisect_left(ends, m)  # the blocks ending before m
+        if b < B and starts[b] <= m:
+            return 1, 1
+        bc, bl = over_gap[b]
+        faces = [(cum[b] - cum[j], m - starts[j] + 1) for j in range(b)]
+        faces += [(cum[k + 1] - cum[b], ends[k] - m + 1) for k in range(b, B)]
+        for c, l in faces:
+            if c * bl > bc * l:
+                bc, bl = c, l
+        return bc, bl
+
+    return value
+
+
+def _halo_product(axes: list[list[int]], p: int, q: int) -> list[Run]:
+    """Halo of the product axes[0] x ... x axes[-1] at p/q, one axis at a time.
+
+    The strong maximum factors into the 1-D maxima M_i of the axes (Jessen,
+    Marcinkiewicz & Zygmund), and each M_i is 1 on its axis.  So m_0 heads a
+    member iff it lies in the 1-D halo of axes[0] at p/q, and the rest of the
+    member is a member for the other axes at (p/q) / M_0(m_0) < 1.  Levels are
+    memoised per threshold; rows go in increasing order, so runs are sorted.
+    """
+    values = [_line_values(xs) for xs in axes[:-1]]
+    memo: dict[tuple[int, int, int], list[Run]] = {}
+
+    def level(i: int, p: int, q: int) -> list[Run]:
+        if (i, p, q) in memo:
+            return memo[i, p, q]
+        cover = _point_cover(axes[i], q - p, p)
+        if i == len(values):
+            out = [((), a, b) for a, b in cover]
+        else:
+            out = []
+            for a, b in cover:
+                for m in range(a, b + 1):
+                    c, l = values[i](m)  # c / l > p / q, as m lies in the halo
+                    g = gcd(p * l, q * c)
+                    out += [((m,) + pre, s, t) for pre, s, t in level(i + 1, p * l // g, q * c // g)]
+        memo[i, p, q] = out
+        return out
+
+    return level(0, p, q)
 
 
 def _halo_2d(E: LatticeSet, p: int, q: int) -> list[Run]:
@@ -545,7 +627,8 @@ def product_witness(E1: LatticeSet, E2: LatticeSet) -> LatticeSet:
 
     Every 2-D box is a product of two intervals, so the strong maximal value
     of a product set factors into the two 1-D values; product witnesses are
-    the natural probes for the planar constants.
+    the natural probes for the planar constants, and their halos are built by
+    the product kernel `_halo_product` from 1-D point scans.
     """
     if E1.dim != 1 or E2.dim != 1:
         raise DomainError("product witnesses take two 1-D sets")

@@ -3,6 +3,8 @@
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -93,6 +95,31 @@ class TestHalo:
         assert "ratio=1" in out
         lines = out_file.read_text().strip().split("\n")
         assert lines[1:3] == ["0", "1000000000"] and len(lines) == 1 + 2 + 1
+
+    @pytest.mark.parametrize("points", [
+        [[0, 0], [10**9, 0]],
+        [[0, 0], [0, 10**9]],
+        [[0, 0, 0], [0, 0, 10**9]],
+    ])
+    def test_wide_span_product(self, points, tmp_path, capsys):
+        """Planar and spatial pairs 10^9 apart: the halo is the set itself,
+        in milliseconds and well under a megabyte."""
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"dim": len(points[0]), "points": points}))
+        out_file = tmp_path / "wide.csv"
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code, out, _ = run(["halo", wide, "--alpha", "1/2", "--out", out_file], capsys)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and "ratio=1" in out
+        lines = out_file.read_text().strip().split("\n")
+        assert lines[1:3] == [",".join(map(str, p)) for p in points] and len(lines) == 1 + 2 + 1
+        assert peak < 1 << 20
+        assert elapsed < 0.5
 
     def test_non_integer_coordinates_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "floats.json"

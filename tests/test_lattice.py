@@ -5,8 +5,10 @@ Derived values here were computed with the brute-force oracles in
 are asserted as exact rationals.
 """
 
+import time
 import tracemalloc
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -182,6 +184,37 @@ class TestHalo:
         assert all(h.members == E for h in halos)
         assert ratios == [1, 1]
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("points", [
+        [(0, 0), (10**9, 0)],
+        [(0, 0), (0, 10**9)],
+        [(0, 0, 0), (0, 0, 10**9)],
+    ])
+    def test_wide_span_products_cost_their_points(self, points):
+        """Two points 10^9 apart along one axis of the plane or of space form
+        a product set, whose halo is built from 1-D scans of its coordinates."""
+        E, alpha = LatticeSet.from_points(points), F(1, 2)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            h, ratio = halo(E, alpha), halo_ratio(E, alpha)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.members == E and ratio == 1
+        assert peak < 1 << 20
+        assert elapsed < 0.1
+
+    def test_cube_product_halo(self):
+        """The 3x3x3 cube at 1/2 has 171 halo members (pinned from the
+        pointwise n-D walk); as a product it takes milliseconds."""
+        cube = LatticeSet.from_points(list(product(range(3), repeat=3)))
+        start = time.perf_counter()
+        h = halo(cube, F(1, 2))
+        elapsed = time.perf_counter() - start
+        assert len(h.members) == 171 and h.ratio == F(19, 3)
+        assert elapsed < 0.05
 
 
 class TestOneSided:

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taublab import lattice
 from taublab.lattice import (
     LatticeSet,
     eval_strong_max,
@@ -185,6 +186,56 @@ def test_halo_agrees_with_pointwise_eval_2d_single_row_or_column():
         E = LatticeSet.from_points(pts)
         alpha = F(rng.randint(1, 11), 12)
         assert set(halo(E, alpha).members.points) == pointwise_halo(E, alpha)
+
+
+def gapped_line(rng, k):
+    """k sorted coordinates, adjacent or apart by 1, 2 or 6 empty cells."""
+    xs = [rng.randint(-3, 3)]
+    for _ in range(k - 1):
+        xs.append(xs[-1] + rng.choice((1, 1, 2, 3, 7)))
+    return xs
+
+
+def product_points(runs):
+    return [pre + (c,) for pre, a, b in runs for c in range(a, b + 1)]
+
+
+def test_product_kernel_matches_planar_kernel():
+    """The product kernel against the row-band kernel, both called directly,
+    on products of gapped 1-D sets: 1 x k, k x 1 and 1 x 1 among them, at
+    thresholds k/20 and 1/q down to 1/30.  Single rows and single columns are
+    products, so the halo never sends them to the row-band kernel: this test
+    keeps its handling of them checked."""
+    rng = random.Random(1111)
+    for i in range(400):
+        rows, cols = ((1, rng.randint(1, 5)), (rng.randint(1, 5), 1), (1, 1),
+                      (rng.randint(2, 5), rng.randint(2, 5)))[i % 4]
+        axes = [gapped_line(rng, rows), gapped_line(rng, cols)]
+        E = LatticeSet.from_points(list(product(*axes)))
+        alpha = F(rng.randint(1, 19), 20) if i % 2 else F(1, rng.randint(2, 30))
+        p, q = alpha.numerator, alpha.denominator
+        assert lattice._halo_product(axes, p, q) == lattice._halo_2d(E, p, q)
+
+
+def test_product_kernel_matches_pointwise_halos_3d():
+    """3-D products up to 3 x 3 x 2 with gaps, against the pointwise n-D walk
+    (`exceeds` at every point of the pruned region); a gapped pair, whose
+    recursion passes a gap on the first axis, against the brute-force halo.
+    The brute force takes seconds per point pair in 3-D, so larger products
+    are left to the pointwise walk."""
+    rng = random.Random(1112)
+    for _ in range(8):
+        sizes = [rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 2)]
+        rng.shuffle(sizes)
+        axes = [gapped_line(rng, k) for k in sizes]
+        E = LatticeSet.from_points(list(product(*axes)))
+        alpha = F(rng.randint(9, 11), 12)
+        p, q = alpha.numerator, alpha.denominator
+        assert product_points(lattice._halo_product(axes, p, q)) == product_points(
+            lattice._halo_nd(E, p, q))
+    axes = [[0, 2], [0], [0]]
+    assert product_points(lattice._halo_product(axes, 3, 4)) == brute_halo(
+        list(product(*axes)), F(3, 4))
 
 
 def test_sparse_lines_match_brute_halos():
