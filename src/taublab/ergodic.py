@@ -16,7 +16,7 @@ windows W along the orbit of positive weight q * #(E in W) - p * #W (a halo
 atom lies in its own witnessing window), and the same split keeps such a
 window positive while it is cut to at most 2Q_i - 1 cells on each axis
 around any atom it holds.  So the halo is found orbit by orbit, by covering
-the period grid with short positive windows; on a cycle that is the lattice
+the period grid with short positive windows; on a cycle that is a dense
 covered-segment scan of a tripled copy, or the best forward ends over a
 doubled copy for the one-sided operator.  Halos, halo measures, Tauberian
 ratios and their exhaustive suprema over all nonempty atom subsets are
@@ -42,8 +42,7 @@ import random
 
 from .errors import DomainError
 from .estimate import TauberianEstimate
-from .lattice import (LatticeSet, _covered_segments, _prefix_and_best_end, eval_strong_max,
-                      halo as lattice_halo)
+from .lattice import LatticeSet, eval_strong_max, halo as lattice_halo
 from .rational import LexMax, require_alpha, require_integers
 
 EXHAUSTIVE_ATOM_LIMIT = 20
@@ -283,21 +282,46 @@ def _eval_max(system: AtomicSystem, in_E: set[int], atom: int, arms: list[int]) 
     return eval_strong_max(LatticeSet(dim=len(arms), points=pattern), (0,) * len(arms))
 
 
+def _prefix_and_best_end(weights: list[int]) -> tuple[list[int], list[int]]:
+    """Prefix sums of the weights, and suff_max[i] = max(prefix[i + 1:]), the
+    best end of a run that reaches cell i."""
+    n = len(weights)
+    prefix = [0] * (n + 1)
+    for i, w in enumerate(weights):
+        prefix[i + 1] = prefix[i] + w
+    suff_max = [0] * n
+    running = prefix[n]
+    for i in range(n - 1, -1, -1):
+        if prefix[i + 1] > running:
+            running = prefix[i + 1]
+        suff_max[i] = running
+    return prefix, suff_max
+
+
 def _covered_cyclic(w: list[int]) -> list[bool]:
     """Flags the cells i of a cycle of integer weights that lie in some run of
     positive total with both arms around i shorter than the cycle.
 
     If the full-period total is positive every cell is covered (repeat the
-    period); otherwise these are the lattice covered segments of the middle
-    copy of a tripled cycle, since cutting a period from an arm of P cells or
-    more keeps a run positive.  The reaches are unused: any penalty serves.
+    period); otherwise these are the cells of the middle copy of a tripled
+    cycle whose best run end after them beats the best start before them,
+    since cutting a period from an arm of P cells or more keeps a run
+    positive.  Cycles carry -p on every cell off E, below the lattice line
+    scan's precondition, so they keep this dense scan.
     """
     P = len(w)
     if max(w) <= 0:
         return [False] * P
     if sum(w) > 0:
         return [True] * P
-    return _covered_segments(w * 3, 1)[0][P : 2 * P]
+    prefix, best_end = _prefix_and_best_end(w * 3)
+    best_start = min(prefix[:P])
+    flags = []
+    for i in range(P, 2 * P):
+        if prefix[i] < best_start:
+            best_start = prefix[i]
+        flags.append(best_end[i] > best_start)
+    return flags
 
 
 def ergodic_halo(system: AtomicSystem, E: MeasurableSet, alpha: Fraction) -> MeasurableSet:

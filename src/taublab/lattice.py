@@ -153,118 +153,64 @@ class HaloSet:
 # ---------------------------------------------------------------------------
 # Covered-segment engine.
 #
-# Given integer weights on a line, where every cell outside a finite span
-# would contribute the uniform negative weight -penalty, report which cells
-# lie inside some contiguous run with strictly positive total.  Two scans,
-# chosen by the shape of the line:
-#
-# * the points-only scan `_point_cover` serves the 1-D halo, the one-sided
-#   halo and every axis of the product kernel `_halo_product`.  Their lines
-#   carry q - p on the points of a 1-D set and -p on every other cell, and the
-#   span between the points may be far longer than the set, so the scan reads
-#   only the points and the gap lengths: O(#points), whatever the span.
-# * the dense scan `_covered_segments` serves every row-range of the 2-D halo
-#   and the ergodic cycle scans (a tripled cycle for the two-sided halos, a
-#   doubled one for the one-sided halo).  Their lines are short and carry a
-#   weight on most cells, where a per-cell list scan is the cheaper form.
+# Given integer weights at the points of a line, and the uniform negative
+# weight -penalty on every other cell, report which cells lie inside some
+# contiguous run with strictly positive total.  Every lattice halo reads its
+# lines this way: the 1-D halo and the one-sided halo (q - p at each point of
+# E), each axis of the product kernel `_halo_product`, and each band of rows
+# of the planar kernel `_halo_2d` (q * count - p * height at each column that
+# meets the band).  The span between the points may be far longer than the
+# set, so the scan reads only the points and the gap lengths: O(#points),
+# whatever the span.
 # ---------------------------------------------------------------------------
 
 
-def _point_cover(xs: list[int], weight: int, penalty: int,
+def _point_cover(xs: list[int], ws: list[int], penalty: int,
                  two_sided: bool = True) -> list[tuple[int, int]]:
     """Sorted disjoint intervals of the cells lying in a run of positive total
-    on the line with weight > 0 at the sorted points xs and -penalty elsewhere;
-    one-sided (two_sided False), a cell counts only in a run starting at it.
+    on the line with weight ws[i] at the sorted point xs[i] and -penalty
+    elsewhere; one-sided (two_sided False), a cell counts only in a run
+    starting at it.
 
-    A positive run trimmed to start and end at points stays positive, so all
-    follows from right[i], the best run starting at xs[i], and left[i], the
-    best one ending there (0 one-sided).  Every point covers itself.  A gap
-    after xs[i] costing g = penalty * (empty cells) is covered whole iff
+    Requires every ws[i] > -penalty.  A positive run trimmed to start and end
+    at points stays positive, so all follows from right[i], the best run
+    starting at xs[i], and left[i], the best one ending there (0 one-sided).
+    A gap after xs[i] costing g = penalty * (empty cells) is covered whole iff
     left[i] + right[i + 1] > g; otherwise only its cells d <= (left[i] - 1) //
     penalty right of xs[i] and e <= (right[i + 1] - 1) // penalty left of
-    xs[i + 1], which leave a cell between them uncovered.  The outer reaches
-    come from right[0] and left[-1] the same way.
+    xs[i + 1], which leave a cell between them uncovered.  Under the
+    precondition these reaches never pass the next point, and a chain of
+    points joined by whole gaps whose best run is <= 0 gives the empty
+    interval (x + 1, x), which is left out.  The outer reaches come from
+    right[0] and left[-1] the same way.
     """
     gaps = [penalty * (y - x - 1) for x, y in zip(xs, xs[1:])]
-    right, left = [weight], [weight]
-    for g in reversed(gaps):
-        right.append(weight + right[-1] - g if right[-1] > g else weight)
-    right.reverse()
+    right, i, r = ws[:], len(gaps), ws[-1]
+    for g in reversed(gaps):  # right[i] = ws[i] + max(right[i + 1] - gaps[i], 0)
+        i -= 1
+        if r > g:
+            right[i] += r - g
+        r = right[i]
     if two_sided:
+        left, i, l = ws[:], 0, ws[0]
         for g in gaps:
-            left.append(weight + left[-1] - g if left[-1] > g else weight)
+            i += 1
+            if l > g:
+                left[i] += l - g
+            l = left[i]
     else:
         left = [0] * len(xs)
     out = []
     a = xs[0] - (right[0] - 1) // penalty
     for x, y, g, l, r in zip(xs, xs[1:], gaps, left, right[1:]):
         if l + r <= g:
-            out.append((a, x + max(l - 1, 0) // penalty))
+            b = x + max(l - 1, 0) // penalty
+            if a <= b:
+                out.append((a, b))
             a = y - (r - 1) // penalty
-    out.append((a, xs[-1] + max(left[-1] - 1, 0) // penalty))
-    return out
-
-
-def _prefix_and_best_end(weights: list[int]) -> tuple[list[int], list[int]]:
-    """Prefix sums of the weights, and suff_max[i] = max(prefix[i + 1:]), the
-    best end of a run that reaches cell i."""
-    n = len(weights)
-    prefix = [0] * (n + 1)
-    for i, w in enumerate(weights):
-        prefix[i + 1] = prefix[i] + w
-    suff_max = [0] * n
-    running = prefix[n]
-    for i in range(n - 1, -1, -1):
-        if prefix[i + 1] > running:
-            running = prefix[i + 1]
-        suff_max[i] = running
-    return prefix, suff_max
-
-
-def _covered_segments(weights: list[int], penalty: int):
-    """Return (flags, left_reach, right_reach).
-
-    flags[i] is True iff some contiguous range containing span cell i has
-    positive total weight.  left_reach / right_reach count how many cells
-    beyond the span edges are covered by ranges extending into the uniform
-    -penalty region.  Ranges reaching outside the span are dominated by their
-    trimmed versions for in-span cells, so flags only consider in-span
-    ranges; conversely an off-span cell at distance t is covered iff the best
-    range pinned to that edge still has total > penalty * t.
-    """
-    n = len(weights)
-    prefix, suff_max = _prefix_and_best_end(weights)
-    # best start to the left of each cell
-    pref_min = [0] * n
-    running = prefix[0]
-    for i in range(n):
-        if prefix[i] < running:
-            running = prefix[i]
-        pref_min[i] = running
-    flags = [suff_max[i] - pref_min[i] > 0 for i in range(n)]
-    best_from_left_edge = suff_max[0]  # ranges [span start, d]
-    best_to_right_edge = prefix[n] - min(prefix[:n], default=0)  # ranges [j, span end]
-    left_reach = (best_from_left_edge - 1) // penalty if best_from_left_edge > 0 else 0
-    right_reach = (best_to_right_edge - 1) // penalty if best_to_right_edge > 0 else 0
-    return flags, left_reach, right_reach
-
-
-def _covered_intervals(lo: int, flags: list[bool], left: int, right: int) -> list[tuple[int, int]]:
-    """The cells covered around a span starting at lo, as sorted disjoint
-    intervals: the left reach, the runs of flags, then the right reach."""
-    out = [(lo - left, lo - 1)] if left else []
-    i, n = 0, len(flags)
-    while i < n:
-        if flags[i]:
-            j = i
-            while j + 1 < n and flags[j + 1]:
-                j += 1
-            out.append((lo + i, lo + j))
-            i = j + 1
-        else:
-            i += 1
-    if right:
-        out.append((lo + n, lo + n - 1 + right))
+    b = xs[-1] + max(left[-1] - 1, 0) // penalty
+    if a <= b:
+        out.append((a, b))
     return out
 
 
@@ -383,10 +329,9 @@ def halo(E: LatticeSet, alpha: Fraction) -> HaloSet:
     """Exact level set {m in Z^n : strong max of the indicator of E at m > alpha}.
 
     The members always contain E, and are contained in the bounding box of E
-    dilated by ceil(#E / alpha) along every axis; only that region (in fact a
-    much smaller hyperbolic neighbourhood of the bounding box) is searched.
-    In 1-D only the points of E and the gaps between them are read, so the
-    cost is O(#E) plus the members built, however long the span of E.
+    dilated by ceil(#E / alpha) along every axis.  In 1-D only the points of
+    E and the gaps between them are read, so the cost is O(#E) plus the
+    members built, however long the span of E.
 
     On a product set E = X_1 x ... x X_n every box is a product of intervals,
     so the strong maximum factors into the 1-D maxima of the X_i, and the halo
@@ -394,6 +339,12 @@ def halo(E: LatticeSet, alpha: Fraction) -> HaloSet:
     of blocks of consecutive integers costs O(sum of #X_i) plus its members;
     gaps add a scan of the blocks of X_i per halo coordinate of an outer axis
     and a set-up quadratic in their number.  The span never enters.
+
+    Any other planar set is scanned by bands of rows with both ends at rows
+    of E (`_halo_2d`), each band's line reading only the columns that meet
+    it, so the cost grows with the rows of E and never with the span.  Other
+    sets of three or more dimensions are tested point by point over a
+    hyperbolic neighbourhood of the bounding box (`_halo_nd`).
     """
     return _halo_set(E, *_halo_runs(E, alpha))
 
@@ -405,7 +356,7 @@ def halo_ratio(E: LatticeSet, alpha: Fraction) -> Fraction:
 
 
 def _halo_1d(E: LatticeSet, p: int, q: int) -> list[Run]:
-    return [((), a, b) for a, b in _point_cover([x for (x,) in E.points], q - p, p)]
+    return [((), a, b) for a, b in _point_cover([x for (x,) in E.points], [q - p] * len(E), p)]
 
 
 def _line_values(xs: list[int]):
@@ -460,7 +411,7 @@ def _halo_product(axes: list[list[int]], p: int, q: int) -> list[Run]:
     def level(i: int, p: int, q: int) -> list[Run]:
         if (i, p, q) in memo:
             return memo[i, p, q]
-        cover = _point_cover(axes[i], q - p, p)
+        cover = _point_cover(axes[i], [q - p] * len(axes[i]), p)
         if i == len(values):
             out = [((), a, b) for a, b in cover]
         else:
@@ -477,50 +428,67 @@ def _halo_product(axes: list[list[int]], p: int, q: int) -> list[Run]:
 
 
 def _halo_2d(E: LatticeSet, p: int, q: int) -> list[Run]:
-    r_lo, r_hi = E.points[0][0], E.points[-1][0]
-    c_lo = min(pt[1] for pt in E.points)
-    c_hi = max(pt[1] for pt in E.points)
-    H = r_hi - r_lo + 1
-    C = c_hi - c_lo + 1
-    row_cols: list[list[int]] = [[] for _ in range(H)]  # span columns of E per band row
-    for r, c in E.points:
-        row_cols[r - r_lo].append(c - c_lo)
+    """Halo of a planar set at p/q from line scans of bands of rows.
 
+    A box that witnesses a member m shrinks to the hull of its points of E and
+    m, so its rows are a band [a, b] with both ends rows of E, grown to take
+    in m's row.  Its columns are then a positive run of the line with weight
+    q * count - p * height at each column that meets the band, which
+    `_point_cover` reads from the band's columns alone.  Rows inside the band
+    take the runs at height b - a + 1; row a - t below it takes them at height
+    b - a + 1 + t, for t short of the previous row of E, as a box reaching
+    that row is dominated by the band starting there (the same height, counts
+    at least as large).  Rows above b likewise.  Every count is at most #E and
+    every box at least as tall as its band, so a band's loop stops once
+    q * #E <= p * (b - a + 1).  The cost grows with the rows of E, never with
+    the span.
+    """
+    rows: dict[int, list[int]] = {}
+    for r, c in E.points:
+        rows.setdefault(r, []).append(c)
+    ys = list(rows)
+    limit = q * len(E)
     cover: dict[int, list[tuple[int, int]]] = {}
 
-    def mark(rows, counts: list[int], h: int) -> bool:
-        """Add the columns of the positive runs of q * count - p * h, boxes of
-        height h, to every row; False when no span cell lies in such a run."""
-        ph = p * h
-        flags, left, right = _covered_segments([q * n - ph for n in counts], ph)
-        if not any(flags):
-            return False
-        intervals = _covered_intervals(c_lo, flags, left, right)
-        for r in rows:
-            cover.setdefault(r, []).extend(intervals)
-        return True
+    def runs(cols: list[int], counts: list[int], h: int) -> list[tuple[int, int]]:
+        return _point_cover(cols, [q * n - p * h for n in counts], p * h)
 
-    # Boxes over the band rows [ai, bi], with the column counts grown one row
-    # at a time.  A box leaving the band is such a range touching an edge plus
-    # t empty rows beyond it, each costing p per cell; it covers row edge +- t.
-    for ai in range(H):
-        counts = [0] * C
-        for bi in range(ai, H):
-            for c in row_cols[bi]:
-                counts[c] += 1
-            h = bi - ai + 1
-            mark(range(r_lo + ai, r_lo + bi + 1), counts, h)
-            for edge, step, touches in ((r_lo, -1, ai == 0), (r_hi, 1, bi == H - 1)):
-                t = 1
-                while touches and mark((edge + step * t,), counts, h + t):
-                    t += 1
+    for i, a in enumerate(ys):
+        counts: dict[int, int] = {}
+        for j in range(i, len(ys)):
+            b = ys[j]
+            h = b - a + 1
+            if p * h >= limit:
+                break
+            for c in rows[b]:
+                counts[c] = counts.get(c, 0) + 1
+            cols = sorted(counts)
+            band = [counts[c] for c in cols]
+            intervals = runs(cols, band, h)
+            if not intervals:
+                continue  # taller boxes over the same columns are no better
+            for r in range(a, b + 1):
+                cover.setdefault(r, []).extend(intervals)
+            # the rows beyond each edge, short of the next row of E; past the
+            # outer rows, no box of height limit / p or more is positive
+            below = a - ys[i - 1] if i else limit
+            above = ys[j + 1] - b if j + 1 < len(ys) else limit
+            for edge, step, room in ((a, -1, below), (b, 1, above)):
+                for t in range(1, room):
+                    intervals = runs(cols, band, h + t)
+                    if not intervals:
+                        break
+                    cover.setdefault(edge + step * t, []).extend(intervals)
 
     return [((row,), a, b) for row in sorted(cover) for a, b in _merge_intervals(cover[row])]
 
 
 def _halo_nd(E: LatticeSet, p: int, q: int) -> list[Run]:
-    """Dimension-general fallback: test every point of the pruned region, in
-    lexicographic order; each member is a run of one point.
+    """Halo of a set of three or more dimensions that is not a product: test
+    every point of the pruned region, in lexicographic order; each member is
+    a run of one point.  It is the only halo kernel that runs `exceeds`,
+    which the benchmark's trace gate expects the lattice-halo workload to
+    reach, so it stays until that gate moves (ROADMAP.md, item 1).
 
     A halo point at per-axis distances d_i from the bounding box needs a box
     with volume at least prod(d_i + 1) and at most #E * q / p lattice points,
@@ -587,7 +555,7 @@ def _one_sided_runs(E: LatticeSet, alpha: Fraction) -> tuple[Fraction, list[Run]
     _check_one_sided(E)
     p, q = alpha.numerator, alpha.denominator
     xs = [x for (x,) in E.points]
-    return alpha, [((), a, b) for a, b in _point_cover(xs, q - p, p, two_sided=False)]
+    return alpha, [((), a, b) for a, b in _point_cover(xs, [q - p] * len(xs), p, two_sided=False)]
 
 
 def one_sided_halo(E: LatticeSet, alpha: Fraction) -> HaloSet:

@@ -52,6 +52,27 @@ def brute_halo(points, alpha):
     return sorted(members)
 
 
+def brute_line_cover(xs, ws, penalty, two_sided=True):
+    """Sorted cells of the line with weight ws[i] at xs[i] and -penalty
+    elsewhere that lie in a run of positive total (one-sided: a run starting
+    at the cell), by summing every run [s, e].  A run holds at most the sum R
+    of the positive weights and loses penalty per empty cell, so no positive
+    run reaches R // penalty + 1 cells past the outer points."""
+    weight = dict(zip(xs, ws))
+    reach = sum(w for w in ws if w > 0) // penalty + 1
+    lo, hi = min(xs) - reach, max(xs) + reach
+    covered = set()
+    for s in range(lo, hi + 1):
+        total, last = 0, None  # `last`: the furthest end of a positive run from s
+        for e in range(s, hi + 1):
+            total += weight.get(e, -penalty)
+            if total > 0:
+                last = e
+        if last is not None:
+            covered.update(range(s, last + 1) if two_sided else (s,))
+    return sorted(covered)
+
+
 def brute_one_sided_max(points, m):
     xs = sorted(p if isinstance(p, int) else p[0] for p in points)
     best = Fraction(0)

@@ -189,10 +189,14 @@ class TestHalo:
         [(0, 0), (10**9, 0)],
         [(0, 0), (0, 10**9)],
         [(0, 0, 0), (0, 0, 10**9)],
+        [(0, 0), (10**9, 0), (1, 1)],
+        [(0, 0), (0, 10**9), (1, 1)],
     ])
     def test_wide_span_products_cost_their_points(self, points):
         """Two points 10^9 apart along one axis of the plane or of space form
-        a product set, whose halo is built from 1-D scans of its coordinates."""
+        a product set, whose halo is built from 1-D scans of its coordinates.
+        With (1, 1) added the set is no product: the planar kernel scans the
+        bands between its rows, reading only the columns that meet them."""
         E, alpha = LatticeSet.from_points(points), F(1, 2)
         tracemalloc.start()
         try:

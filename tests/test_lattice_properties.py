@@ -20,7 +20,8 @@ from taublab.lattice import (
     strong_max_witness,
 )
 
-from oracles import brute_halo, brute_one_sided_halo, brute_one_sided_max, brute_strong_max
+from oracles import (brute_halo, brute_line_cover, brute_one_sided_halo, brute_one_sided_max,
+                     brute_strong_max)
 
 sets_1d = st.frozensets(st.integers(-6, 6), min_size=1, max_size=6).map(
     lambda xs: LatticeSet.from_points([(x,) for x in xs])
@@ -126,11 +127,15 @@ def test_one_sided_matches_brute():
 
 def test_halo_agrees_with_pointwise_eval_2d():
     """The 2-D level-set sweep must equal the membership test point by point
-    (the membership test itself is oracle-checked above)."""
+    (the membership test itself is oracle-checked above), on sets from a
+    7 x 5 window and on sets whose rows and columns lie apart by gaps."""
     rng = random.Random(99)
-    for _ in range(30):
-        pool = [(x, y) for x in range(-3, 4) for y in range(-2, 3)]
-        E = LatticeSet.from_points(rng.sample(pool, rng.randint(1, 6)))
+    for i in range(60):
+        if i < 30:
+            pool = [(x, y) for x in range(-3, 4) for y in range(-2, 3)]
+        else:
+            pool = list(product(gapped_line(rng, rng.randint(2, 4)), gapped_line(rng, rng.randint(2, 4))))
+        E = LatticeSet.from_points(rng.sample(pool, rng.randint(1, min(6, len(pool)))))
         alpha = F(rng.randint(1, 11), 12)
         got = set(halo(E, alpha).members.points)
         dil = -(-len(E) * alpha.denominator // alpha.numerator)
@@ -252,6 +257,30 @@ def test_sparse_lines_match_brute_halos():
         E = LatticeSet.from_points([(x,) for x in xs])
         assert list(halo(E, alpha).members.points) == brute_halo(E.points, alpha)
         assert [m for (m,) in one_sided_halo(E, alpha).members.points] == brute_one_sided_halo(xs, alpha)
+
+
+def test_point_cover_matches_brute_line_cover():
+    """The points-only line scan with a weight per point, as the planar
+    kernel's bands give it, against every run summed: weights in
+    (-penalty, 3q], gaps of 0..40 empty cells, two-sided and one-sided.
+    Negative weights leave some points out of every run; the test counts
+    that it met such lines."""
+    rng = random.Random(1212)
+    left_out = 0
+    for i in range(400):
+        q, penalty = rng.randint(1, 6), rng.randint(1, 8)
+        xs = [rng.randint(-5, 5)]
+        for _ in range(rng.randint(0, 5)):
+            xs.append(xs[-1] + 1 + rng.choice((rng.randint(0, 3), rng.randint(0, 40))))
+        ws = [rng.randint(1 - penalty, 3 * q) for _ in xs]
+        two_sided = i % 2 == 0
+        want = brute_line_cover(xs, ws, penalty, two_sided)
+        got = lattice._point_cover(xs, ws, penalty, two_sided)
+        assert all(a <= b for a, b in got)
+        assert all(b + 1 < a for (_, b), (a, _) in zip(got, got[1:]))  # disjoint, not touching
+        assert [c for a, b in got for c in range(a, b + 1)] == want
+        left_out += not set(xs) <= set(want)
+    assert left_out >= 50
 
 
 def test_half_covered_gap():
