@@ -16,9 +16,9 @@ windows W along the orbit of positive weight q * #(E in W) - p * #W (a halo
 atom lies in its own witnessing window), and the same split keeps such a
 window positive while it is cut to at most 2Q_i - 1 cells on each axis
 around any atom it holds.  So the halo is found orbit by orbit, by covering
-the period grid with short positive windows; on a cycle that is a dense
-covered-segment scan of a tripled copy, or the best forward ends over a
-doubled copy for the one-sided operator.  Halos, halo measures, Tauberian
+the period grid with short positive windows; on a cycle that is one dense
+prefix-sum scan over copies of the cycle, for the two-sided operator and the
+one-sided (forward window) one alike.  Halos, halo measures, Tauberian
 ratios and their exhaustive suprema over all nonempty atom subsets are
 computed exactly, with rational arithmetic end to end.
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, product as _cartesian
+from itertools import accumulate, compress, product as _cartesian
 from math import lcm, prod
 from operator import add
 import random
@@ -282,45 +282,35 @@ def _eval_max(system: AtomicSystem, in_E: set[int], atom: int, arms: list[int]) 
     return eval_strong_max(LatticeSet(dim=len(arms), points=pattern), (0,) * len(arms))
 
 
-def _prefix_and_best_end(weights: list[int]) -> tuple[list[int], list[int]]:
-    """Prefix sums of the weights, and suff_max[i] = max(prefix[i + 1:]), the
-    best end of a run that reaches cell i."""
-    n = len(weights)
-    prefix = [0] * (n + 1)
-    for i, w in enumerate(weights):
-        prefix[i + 1] = prefix[i] + w
-    suff_max = [0] * n
-    running = prefix[n]
-    for i in range(n - 1, -1, -1):
-        if prefix[i + 1] > running:
-            running = prefix[i + 1]
-        suff_max[i] = running
-    return prefix, suff_max
-
-
-def _covered_cyclic(w: list[int]) -> list[bool]:
+def _covered_cyclic(w: list[int], two_sided: bool = True) -> list[bool]:
     """Flags the cells i of a cycle of integer weights that lie in some run of
-    positive total with both arms around i shorter than the cycle.
+    positive total along the repeated cycle; one-sided (two_sided False), a
+    cell counts only in a run starting at it.  The one cyclic scan of both
+    ergodic halos.
 
-    If the full-period total is positive every cell is covered (repeat the
-    period); otherwise these are the cells of the middle copy of a tripled
-    cycle whose best run end after them beats the best start before them,
-    since cutting a period from an arm of P cells or more keeps a run
-    positive.  Cycles carry -p on every cell off E, below the lattice line
-    scan's precondition, so they keep this dense scan.
+    If the period total is positive every cell is covered (by the period
+    starting there).  Otherwise cutting a period from an arm of P cells or
+    more keeps a run positive, so arms shorter than P suffice, and one dense
+    prefix-sum scan over copies of the cycle decides: two-sided, the cells of
+    the middle copy of three whose best run end after them beats the best
+    start before them; one-sided, the cells of the first copy of two whose
+    best end beats their own start.  Cycles carry -p on every cell off E,
+    below the lattice line scan's precondition, so they keep this dense scan.
     """
     P = len(w)
     if max(w) <= 0:
         return [False] * P
     if sum(w) > 0:
         return [True] * P
-    prefix, best_end = _prefix_and_best_end(w * 3)
-    best_start = min(prefix[:P])
-    flags = []
-    for i in range(P, 2 * P):
-        if prefix[i] < best_start:
-            best_start = prefix[i]
-        flags.append(best_end[i] > best_start)
+    lo = P if two_sided else 0  # first cell of the copy that is kept
+    prefix = list(accumulate(w * (3 if two_sided else 2), initial=0))
+    starts = list(accumulate(prefix[:2 * P], min))[P:] if two_sided else prefix
+    flags = [False] * P
+    end = max(prefix[lo + P + 1:])
+    for i in range(P - 1, -1, -1):
+        if prefix[lo + i + 1] > end:
+            end = prefix[lo + i + 1]
+        flags[i] = end > starts[i]
     return flags
 
 
@@ -332,14 +322,15 @@ def ergodic_halo(system: AtomicSystem, E: MeasurableSet, alpha: Fraction) -> Mea
     return MeasurableSet.of(system, kernel(system, set(E.atoms), alpha))
 
 
-def _halo_atoms_1d(system: AtomicSystem, atoms_in_E: set[int], alpha: Fraction) -> list[int]:
+def _halo_atoms_1d(system: AtomicSystem, atoms_in_E: set[int], alpha: Fraction,
+                   two_sided: bool = True) -> list[int]:
     """Per-cycle linear-time covered-run scan of the weights q - p on E and
-    -p off E."""
+    -p off E, two-sided or, for the one-sided halo, forward only."""
     p, q = alpha.numerator, alpha.denominator
     members: list[int] = []
     for cyc in _cycles(system.generators[0]):
         w = [q - p if a in atoms_in_E else -p for a in cyc]
-        members.extend(compress(cyc, _covered_cyclic(w)))
+        members.extend(compress(cyc, _covered_cyclic(w, two_sided)))
     return members
 
 
@@ -437,6 +428,8 @@ def _tauberian(system: AtomicSystem, alpha: Fraction, halo_of, max_enum: int,
     """The supremum of halo measure over set measure for this halo function:
     exhaustive up to ``max_enum`` atoms, a flagged heuristic bound beyond."""
     alpha = require_alpha(alpha)
+    max_enum, rng_seed, budget = require_integers((max_enum, rng_seed, budget),
+                                                  "max_enum, rng_seed and budget")
     _require_valid(system)
     if system.atom_count <= max_enum:
         return _exhaustive_tauberian(system, alpha, halo_of)
@@ -716,6 +709,7 @@ def jump_profile(n_cycle: int, alpha_grid, max_enum: int = EXHAUSTIVE_ATOM_LIMIT
     N: the complement of one atom certifies at least N/(N-1) below the jump,
     and above it every halo collapses to its own set.
     """
+    n_cycle, max_enum = require_integers((n_cycle, max_enum), "cycle length and max_enum")
     if n_cycle < 2:
         raise DomainError("jump profiles need a cycle of length >= 2")
     if n_cycle > max_enum:
@@ -763,16 +757,7 @@ def one_sided_ergodic_halo(system: AtomicSystem, E: MeasurableSet, alpha: Fracti
     if system.dim != 1:
         raise DomainError("one-sided ergodic operators take a single transformation")
     _check_set(system, E)
-    p, q = alpha.numerator, alpha.denominator
-    atoms_in_E = set(E.atoms)
-    members: list[int] = []
-    for cyc in _cycles(system.generators[0]):
-        w = [q - p if a in atoms_in_E else -p for a in cyc]
-        # forward runs over a doubled cycle: one longer than P cells is cut
-        # to P when the period total is positive, else it loses a period
-        prefix, best_end = _prefix_and_best_end(w * 2)
-        members.extend(a for i, a in enumerate(cyc) if best_end[i] > prefix[i])
-    return MeasurableSet.of(system, members)
+    return MeasurableSet.of(system, _halo_atoms_1d(system, set(E.atoms), alpha, two_sided=False))
 
 
 def one_sided_ergodic_halo_measure(system: AtomicSystem, E: MeasurableSet, alpha: Fraction) -> Fraction:

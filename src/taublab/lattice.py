@@ -33,6 +33,11 @@ Point = tuple[int, ...]
 # (prefix, a, b) stands for the points prefix + (c,) with a <= c <= b.
 Run = tuple[Point, int, int]
 
+# `halo` and `one_sided_halo` count their runs first and refuse to build more
+# members than this (a 1-D member costs about 90 bytes, so the limit is near a
+# gigabyte); the ratio functions count without building, unlimited.
+HALO_MEMBER_LIMIT = 10**7
+
 
 def _as_point(coords) -> Point:
     pt = require_integers(coords, "lattice coordinates")
@@ -156,12 +161,13 @@ class HaloSet:
 # Given integer weights at the points of a line, and the uniform negative
 # weight -penalty on every other cell, report which cells lie inside some
 # contiguous run with strictly positive total.  Every lattice halo reads its
-# lines this way: the 1-D halo and the one-sided halo (q - p at each point of
-# E), each axis of the product kernel `_halo_product`, and each band of rows
-# of the planar kernel `_halo_2d` (q * count - p * height at each column that
-# meets the band).  The span between the points may be far longer than the
-# set, so the scan reads only the points and the gap lengths: O(#points),
-# whatever the span.
+# lines this way: the 1-D halo and the one-sided halo, both through `_halo_1d`
+# (q - p at each point of E), each axis of the product kernel `_halo_product`,
+# and each band of rows of the planar kernel `_halo_2d` (q * count - p * height
+# at each column that meets the band).  The span between the points may be far
+# longer than the set, so the scan reads only the points and the gap lengths:
+# O(#points), whatever the span.  Ergodic cycles weigh every cell, so both
+# ergodic halos share one dense cyclic scan instead, `ergodic._covered_cyclic`.
 # ---------------------------------------------------------------------------
 
 
@@ -317,6 +323,10 @@ def _halo_runs(E: LatticeSet, alpha: Fraction) -> tuple[Fraction, list[Run]]:
 
 
 def _halo_set(E: LatticeSet, alpha: Fraction, runs: list[Run]) -> HaloSet:
+    size = sum(b - a + 1 for _, a, b in runs)
+    if size > HALO_MEMBER_LIMIT:
+        raise DomainError(f"refusing to build a halo of {size} points (limit {HALO_MEMBER_LIMIT}); "
+                          "the halo ratio counts it without building it")
     points = tuple(pre + (c,) for pre, a, b in runs for c in range(a, b + 1))
     return HaloSet(alpha=alpha, members=LatticeSet(dim=E.dim, points=points), source=E)
 
@@ -345,6 +355,9 @@ def halo(E: LatticeSet, alpha: Fraction) -> HaloSet:
     it, so the cost grows with the rows of E and never with the span.  Other
     sets of three or more dimensions are tested point by point over a
     hyperbolic neighbourhood of the bounding box (`_halo_nd`).
+
+    A halo of more than HALO_MEMBER_LIMIT members is refused with a
+    DomainError before any member is built.
     """
     return _halo_set(E, *_halo_runs(E, alpha))
 
@@ -355,8 +368,9 @@ def halo_ratio(E: LatticeSet, alpha: Fraction) -> Fraction:
     return _runs_ratio(E, _halo_runs(E, alpha)[1])
 
 
-def _halo_1d(E: LatticeSet, p: int, q: int) -> list[Run]:
-    return [((), a, b) for a, b in _point_cover([x for (x,) in E.points], [q - p] * len(E), p)]
+def _halo_1d(E: LatticeSet, p: int, q: int, two_sided: bool = True) -> list[Run]:
+    xs = [x for (x,) in E.points]
+    return [((), a, b) for a, b in _point_cover(xs, [q - p] * len(xs), p, two_sided)]
 
 
 def _line_values(xs: list[int]):
@@ -553,9 +567,7 @@ def one_sided_max(E: LatticeSet, m) -> Fraction:
 def _one_sided_runs(E: LatticeSet, alpha: Fraction) -> tuple[Fraction, list[Run]]:
     alpha = require_alpha(alpha)
     _check_one_sided(E)
-    p, q = alpha.numerator, alpha.denominator
-    xs = [x for (x,) in E.points]
-    return alpha, [((), a, b) for a, b in _point_cover(xs, [q - p] * len(xs), p, two_sided=False)]
+    return alpha, _halo_1d(E, alpha.numerator, alpha.denominator, two_sided=False)
 
 
 def one_sided_halo(E: LatticeSet, alpha: Fraction) -> HaloSet:

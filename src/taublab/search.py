@@ -177,6 +177,7 @@ def family_search(
 ) -> TauberianEstimate:
     """Best ratio over a structured witness family, certified by recomputation."""
     alpha = require_alpha(alpha)
+    dim, max_block = require_integers((dim, max_block), "dim and max_block")
     members = _family_members(family, dim, max_block)
     if not members:
         raise DomainError("empty witness family")
@@ -393,6 +394,7 @@ class SolyanikReport:
 def solyanik_probe(sweep_result: SweepResult, tail_from: Fraction = Fraction(9, 10)) -> SolyanikReport:
     """Least-squares slope of log(value - 1) against log(1/alpha - 1) on the
     grid tail near 1; the slope estimates the decay exponent of value -> 1."""
+    tail_from = require_rational(tail_from, "tail threshold")
     pts = [
         (a, est.value)
         for a, est in sweep_result.entries

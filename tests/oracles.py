@@ -73,6 +73,20 @@ def brute_line_cover(xs, ws, penalty, two_sided=True):
     return sorted(covered)
 
 
+def brute_cyclic_cover(w, two_sided=True):
+    """Flags of the cells i of the cycle of weights w that lie in a run of
+    positive total along the repeated cycle with both arms around i shorter
+    than 2P (one-sided: a run starting at i, under 2P cells past it), by
+    summing every such run."""
+    P = len(w)
+    back = range(2 * P) if two_sided else (0,)
+    flags = []
+    for i in range(P):
+        flags.append(any(sum(w[j % P] for j in range(i - a, i + b + 1)) > 0
+                         for a in back for b in range(2 * P)))
+    return flags
+
+
 def brute_one_sided_max(points, m):
     xs = sorted(p if isinstance(p, int) else p[0] for p in points)
     best = Fraction(0)

@@ -124,6 +124,19 @@ class TestHalo:
         assert peak < 1 << 20
         assert elapsed < 0.5
 
+    def test_oversized_halo_exit_3(self, tmp_path, capsys):
+        """interval(60) at 1/10^7 has 1,199,999,938 halo members: refused
+        from the count of its runs, in milliseconds, with nothing written."""
+        block = tmp_path / "block.json"
+        block.write_text(json.dumps({"dim": 1, "points": [[x] for x in range(60)]}))
+        out_file = tmp_path / "big.csv"
+        start = time.perf_counter()
+        code, out, err = run(["halo", block, "--alpha", "1/10000000", "--out", out_file], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 3 and out == ""
+        assert "1199999938" in err
+        assert not out_file.exists()
+
     def test_non_integer_coordinates_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "floats.json"
         bad.write_text(json.dumps({"dim": 1, "points": [[0.5], [2.9], [True]]}))

@@ -194,6 +194,12 @@ class TestTauberian:
         with pytest.raises(DomainError):
             exact_tauberian(make_cyclic(2), F(1))
 
+    @pytest.mark.parametrize("kwargs", [{"budget": 2.5}, {"rng_seed": 1.5}, {"max_enum": "20"}])
+    @pytest.mark.parametrize("constant", [exact_tauberian, one_sided_exact_tauberian])
+    def test_refuses_non_integer_arguments(self, constant, kwargs):
+        with pytest.raises(DomainError):
+            constant(make_cyclic(3), F(1, 2), **kwargs)
+
     def test_heuristic_ends_on_one_atom(self):
         # run apart, so a search that never ends fails instead of hanging the suite
         code = (
@@ -258,6 +264,11 @@ class TestJumpProfile:
     def test_refuses_above_limit(self):
         with pytest.raises(DomainError):
             jump_profile(25, [F(1, 2)])
+
+    @pytest.mark.parametrize("args", [("5", 20), (5, 20.0)])
+    def test_refuses_non_integer_arguments(self, args):
+        with pytest.raises(DomainError):
+            jump_profile(args[0], [F(1, 2)], max_enum=args[1])
 
 
 class TestTowers:

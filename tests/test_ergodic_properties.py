@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 from itertools import product
 
+from taublab import ergodic
 from taublab.ergodic import (
     AtomicSystem,
     MeasurableSet,
@@ -22,6 +23,7 @@ from taublab.ergodic import (
 )
 
 from oracles import (
+    brute_cyclic_cover,
     brute_ergodic_max,
     brute_exact_tauberian,
     brute_one_sided_ergodic_halo,
@@ -393,6 +395,27 @@ def test_one_sided_halo_matches_brute_forward_scan():
             assert one_sided_ergodic_halo(system, E, alpha).atoms == tuple(want)
             measure = sum((system.masses[a] for a in want), F(0))
             assert one_sided_ergodic_halo_measure(system, E, alpha) == measure
+
+
+def test_covered_cyclic_matches_brute_cyclic_cover():
+    """The dense cyclic scan of both ergodic halos, two-sided and one-sided,
+    against every run summed, on cycles of 1..15 integer weights whose period
+    totals are negative, zero (the last weight is set to make it so) and
+    positive.  The test counts that it met cycles only partly covered."""
+    rng = random.Random(1313)
+    totals, partial = set(), 0
+    for i in range(300):
+        P = rng.randint(1, 15)
+        w = [rng.randint(-6, 4) for _ in range(P)]
+        if i % 3 == 0:
+            w[-1] -= sum(w)
+        totals.add((sum(w) > 0) - (sum(w) < 0))
+        for two_sided in (True, False):
+            want = brute_cyclic_cover(w, two_sided)
+            assert ergodic._covered_cyclic(w, two_sided) == want
+            partial += any(want) and not all(want)
+    assert totals == {-1, 0, 1}
+    assert partial >= 50
 
 
 def test_class_enumeration_matches_full_enumeration():

@@ -14,6 +14,7 @@ import pytest
 
 from taublab.errors import DomainError
 from taublab.lattice import (
+    HALO_MEMBER_LIMIT,
     HaloSet,
     IntBox,
     LatticeSet,
@@ -209,6 +210,19 @@ class TestHalo:
         assert h.members == E and ratio == 1
         assert peak < 1 << 20
         assert elapsed < 0.1
+
+    def test_oversized_halo_refused_before_it_is_built(self):
+        """interval(60) at 1/10^7 would have 1,199,999,938 halo members; the
+        runs count them in well under a millisecond, and `halo` refuses above
+        HALO_MEMBER_LIMIT before it builds one.  The ratio stays countable."""
+        E, alpha = interval(60), F(1, 10**7)
+        assert halo_ratio(E, alpha) * len(E) == 1_199_999_938 > HALO_MEMBER_LIMIT
+        assert one_sided_halo_ratio(E, alpha) * len(E) == 599_999_999
+        start = time.perf_counter()
+        for build in (halo, one_sided_halo):
+            with pytest.raises(DomainError, match="1199999938|599999999"):
+                build(E, alpha)
+        assert time.perf_counter() - start < 0.1
 
     def test_cube_product_halo(self):
         """The 3x3x3 cube at 1/2 has 171 halo members (pinned from the

@@ -118,6 +118,11 @@ class TestFamilies:
         with pytest.raises(DomainError):
             family_search("nonsense", F(1, 2))
 
+    @pytest.mark.parametrize("kwargs", [{"max_block": 2.5}, {"dim": 2.0}, {"max_block": "3"}])
+    def test_family_refuses_non_integer_arguments(self, kwargs):
+        with pytest.raises(DomainError):
+            family_search("products", F(1, 2), **{"dim": 2, **kwargs})
+
 
 class TestAnneal:
     def test_config_refuses_no_block_or_negative_budget(self):
@@ -304,6 +309,16 @@ class TestProbes:
         assert abs(report.fitted_exponent - 1) < 1e-9
         assert max(abs(r) for r in report.residuals) < 1e-9
         assert report.exploratory
+
+    def test_probe_reads_tail_from_as_an_exact_rational(self):
+        """On a grid of k/100 the tail past 7/10 holds 29 points; a float 0.7
+        names a binary fraction below 7/10 and would take 30, so it is
+        refused, and the string "7/10" is read as the rational."""
+        curve = self.exact_curve([F(k, 100) for k in range(50, 100)])
+        assert solyanik_probe(curve, F(7, 10)).points_used == 29
+        assert solyanik_probe(curve, "7/10").points_used == 29
+        with pytest.raises(DomainError):
+            solyanik_probe(curve, 0.7)
 
     def test_probe_needs_tail_points(self):
         grid = [F(1, 4), F(1, 2), F(91, 100), F(92, 100)]
