@@ -35,7 +35,6 @@ from .ergodic import (
     MeasurableSet,
     TowerBase,
     TransferResult,
-    ValidationReport,
     apply_power,
     ergodic_halo,
     ergodic_halo_measure,
@@ -51,7 +50,6 @@ from .ergodic import (
     one_sided_exact_tauberian,
     rokhlin_tower,
     transfer_witness,
-    validate_system,
 )
 from .rational import format_rational, parse_rational, require_alpha
 from .search import (

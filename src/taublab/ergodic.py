@@ -37,6 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress, product as _cartesian
 from math import lcm, prod
+from numbers import Rational
 from operator import add
 import random
 
@@ -50,66 +51,48 @@ EXHAUSTIVE_ATOM_LIMIT = 20
 
 @dataclass(frozen=True)
 class AtomicSystem:
-    """(Omega, mu) with commuting invertible mass-preserving shifts."""
+    """(Omega, mu) with commuting invertible mass-preserving shifts, checked
+    once, when built: the first violated invariant raises DomainError."""
 
     masses: tuple[Fraction, ...]
     dim: int
     generators: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        def refuse(problem: str, *atoms: int):
+            raise DomainError(f"invalid system: {problem}" + (f" (atoms {atoms})" if atoms else ""))
+
+        masses = tuple(self.masses)
+        (dim,) = require_integers((self.dim,), "invalid system: dimension")
+        gens = tuple(require_integers(g, f"invalid system: generator {i} entries")
+                     for i, g in enumerate(self.generators))
+        if not masses or dim < 1 or len(gens) != dim:
+            refuse(f"need atoms and dim >= 1 generators, got {len(masses)} atoms, "
+                   f"dim {dim} and {len(gens)} generators")
+        for a, m in enumerate(masses):
+            if not isinstance(m, Rational) or m.numerator <= 0:
+                refuse(f"atom mass {m!r} is not a positive exact rational", a)
+        denom = lcm(*(m.denominator for m in masses))  # exact integer weights
+        weight = tuple(m.numerator * (denom // m.denominator) for m in masses)
+        if sum(weight) != denom:
+            refuse("masses must sum exactly to 1")
+        atoms = tuple(range(len(masses)))
+        for i, g in enumerate(gens):
+            if tuple(sorted(g)) != atoms:
+                refuse(f"generator {i} is not a permutation of the atoms")
+            if tuple(map(weight.__getitem__, g)) != weight:
+                a = next(a for a in atoms if weight[g[a]] != weight[a])
+                refuse(f"generator {i} does not preserve mass", a, g[a])
+            for j, h in enumerate(gens[:i]):
+                if tuple(map(g.__getitem__, h)) != tuple(map(h.__getitem__, g)):
+                    a = next(a for a in atoms if g[h[a]] != h[g[a]])
+                    refuse(f"generators {j} and {i} do not commute", a)
+        masses = tuple(m if type(m) is Fraction else Fraction(m) for m in masses)
+        self.__dict__.update(masses=masses, dim=dim, generators=gens)
+
     @property
     def atom_count(self) -> int:
         return len(self.masses)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    problem: str | None = None
-    atoms: tuple[int, ...] = ()
-
-
-def validate_system(system: AtomicSystem) -> ValidationReport:
-    """Check every system invariant; report the first violation found."""
-    n = system.atom_count
-    if n < 1:
-        return ValidationReport(False, "system needs at least one atom")
-    if system.dim < 1:
-        return ValidationReport(False, "dimension must be >= 1")
-    if len(system.generators) != system.dim:
-        return ValidationReport(
-            False,
-            f"expected {system.dim} generators, got {len(system.generators)}",
-        )
-    for a, m in enumerate(system.masses):
-        if not m > 0:
-            return ValidationReport(False, "atom mass must be positive", (a,))
-    if sum(system.masses, Fraction(0)) != 1:
-        return ValidationReport(False, "masses must sum exactly to 1")
-    for g_idx, g in enumerate(system.generators):
-        if sorted(g) != list(range(n)):
-            return ValidationReport(
-                False, f"generator {g_idx} is not a permutation of the atoms"
-            )
-        for a in range(n):
-            if system.masses[g[a]] != system.masses[a]:
-                return ValidationReport(
-                    False, f"generator {g_idx} does not preserve mass", (a, g[a])
-                )
-    for i in range(system.dim):
-        for j in range(i + 1, system.dim):
-            gi, gj = system.generators[i], system.generators[j]
-            for a in range(n):
-                if gi[gj[a]] != gj[gi[a]]:
-                    return ValidationReport(
-                        False, f"generators {i} and {j} do not commute", (a,)
-                    )
-    return ValidationReport(True)
-
-
-def _require_valid(system: AtomicSystem):
-    report = validate_system(system)
-    if not report.ok:
-        raise DomainError(f"invalid system: {report.problem} (atoms {report.atoms})")
 
 
 def make_cyclic(n: int) -> AtomicSystem:
@@ -430,10 +413,18 @@ def _tauberian(system: AtomicSystem, alpha: Fraction, halo_of, max_enum: int,
     alpha = require_alpha(alpha)
     max_enum, rng_seed, budget = require_integers((max_enum, rng_seed, budget),
                                                   "max_enum, rng_seed and budget")
-    _require_valid(system)
-    if system.atom_count <= max_enum:
-        return _exhaustive_tauberian(system, alpha, halo_of)
-    return _heuristic_tauberian(system, alpha, halo_of, rng_seed, budget)
+    if system.atom_count > max_enum:
+        return _heuristic_tauberian(system, alpha, halo_of, rng_seed, budget)
+    _require_enumerable(system.atom_count)
+    return _exhaustive_tauberian(system, alpha, halo_of)
+
+
+def _require_enumerable(n: int, max_enum: int = EXHAUSTIVE_ATOM_LIMIT):
+    """Refuse an exhaustive walk over more than min(max_enum, EXHAUSTIVE_ATOM_LIMIT)
+    atoms: it marks 2^n masks in memory, and 20 atoms already take seconds."""
+    limit = min(max_enum, EXHAUSTIVE_ATOM_LIMIT)
+    if n > limit:
+        raise DomainError(f"refusing exhaustive enumeration over {n} atoms (limit {limit})")
 
 
 def _exhaustive_tauberian(system: AtomicSystem, alpha: Fraction, halo_of) -> TauberianEstimate:
@@ -569,7 +560,8 @@ def exact_tauberian(
     one class under the generated group at a time, with one halo per class,
     and the witness is the lexicographically least maximiser over all
     subsets.  Beyond ``max_enum`` an explicitly flagged heuristic lower bound
-    is returned.
+    is returned.  ``max_enum`` may lower the cutoff but not raise it: a walk
+    over more than EXHAUSTIVE_ATOM_LIMIT atoms raises DomainError.
     """
     return _tauberian(system, alpha, ergodic_halo, max_enum, rng_seed, budget)
 
@@ -619,7 +611,6 @@ def index(system: AtomicSystem) -> IndexResult:
     the tower's height of distinct points."""
     if system.dim != 1:
         raise DomainError("the tower index is defined for one transformation only")
-    _require_valid(system)
     cycles = _cycles(system.generators[0])
     lengths = tuple(sorted(len(c) for c in cycles))
     best_cycle = max(cycles, key=len)
@@ -634,7 +625,6 @@ def index(system: AtomicSystem) -> IndexResult:
 def rokhlin_tower(system: AtomicSystem, heights) -> TowerBase:
     """A single-atom base whose box of translates up to the given heights is
     pairwise disjoint; errors when the system has no room."""
-    _require_valid(system)
     hts = require_integers(heights, "tower heights")
     if len(hts) != system.dim:
         raise DomainError("heights vector dimension mismatch")
@@ -642,7 +632,8 @@ def rokhlin_tower(system: AtomicSystem, heights) -> TowerBase:
         raise DomainError("tower heights must be >= 1")
     base = MeasurableSet.of(system, [0])
     tower = TowerBase(base=base, heights=hts)
-    if not tower.is_disjoint():
+    # pigeonhole: more translates than atoms collide, so none is built
+    if prod(hts) > system.atom_count or not tower.is_disjoint():
         raise DomainError(
             f"no tower of heights {hts} from atom 0: translates collide "
             f"(orbit periods {[_cycle_length_of(g)[0] for g in system.generators]})"
@@ -669,7 +660,6 @@ def transfer_witness(system: AtomicSystem, discrete_E: LatticeSet, alpha: Fracti
     map to pairwise distinct atoms, otherwise the system is too small.
     """
     alpha = require_alpha(alpha)
-    _require_valid(system)
     if discrete_E.dim != system.dim:
         raise DomainError("lattice witness dimension must match the system dimension")
     if len(discrete_E) == 0:
@@ -712,10 +702,7 @@ def jump_profile(n_cycle: int, alpha_grid, max_enum: int = EXHAUSTIVE_ATOM_LIMIT
     n_cycle, max_enum = require_integers((n_cycle, max_enum), "cycle length and max_enum")
     if n_cycle < 2:
         raise DomainError("jump profiles need a cycle of length >= 2")
-    if n_cycle > max_enum:
-        raise DomainError(
-            f"refusing exhaustive enumeration over {n_cycle} atoms (limit {max_enum})"
-        )
+    _require_enumerable(n_cycle, max_enum)
     system = make_cyclic(n_cycle)
     rows = []
     for alpha in alpha_grid:

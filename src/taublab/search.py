@@ -33,6 +33,9 @@ EXHAUSTIVE_WINDOW_LIMIT = 24
 
 STRATEGIES = ("exhaustive", "interval-family", "box-family", "product-family",
               "staircase-family", "anneal")
+# short names accepted by family_search, each for its strategy name
+_FAMILY_NAMES = {"intervals": "interval-family", "boxes": "box-family",
+                 "products": "product-family", "staircases": "staircase-family"}
 
 
 @dataclass(frozen=True)
@@ -140,17 +143,17 @@ def exhaustive_search(window, alpha: Fraction, one_sided: bool = False) -> Taube
 def _family_members(family: str, dim: int, max_block: int):
     if max_block < 1:
         raise DomainError("family size bound must be >= 1")
-    if family in ("intervals", "interval-family"):
+    if family == "interval-family":
         if dim != 1:
             raise DomainError("the interval family is 1-D")
         return [interval(k) for k in range(1, max_block + 1)]
-    if family in ("boxes", "box-family"):
+    if family == "box-family":
         members = []
         for sides in _cartesian(*(range(1, max_block + 1) for _ in range(dim))):
             pts = _cartesian(*(range(s) for s in sides))
             members.append(LatticeSet.from_points(pts))
         return members
-    if family in ("products", "product-family"):
+    if family == "product-family":
         if dim != 2:
             raise DomainError("the product family is 2-D")
         return [
@@ -158,7 +161,7 @@ def _family_members(family: str, dim: int, max_block: int):
             for k in range(1, max_block + 1)
             for l in range(1, max_block + 1)
         ]
-    if family in ("staircases", "staircase-family"):
+    if family == "staircase-family":
         if dim != 2:
             raise DomainError("the staircase family is 2-D")
         return [
@@ -178,19 +181,14 @@ def family_search(
     """Best ratio over a structured witness family, certified by recomputation."""
     alpha = require_alpha(alpha)
     dim, max_block = require_integers((dim, max_block), "dim and max_block")
+    family = _FAMILY_NAMES.get(family, family)
     members = _family_members(family, dim, max_block)
     if not members:
         raise DomainError("empty witness family")
-    names = {
-        "intervals": "interval-family",
-        "boxes": "box-family",
-        "products": "product-family",
-        "staircases": "staircase-family",
-    }
     best = LexMax()
     for E in members:
         _offer(best, _ratio(E, alpha, one_sided), E)
-    return _estimate(alpha, best, dim, names.get(family, family), "exact")
+    return _estimate(alpha, best, dim, family, "exact")
 
 
 def _anneal_population(config: SearchConfig) -> list[LatticeSet]:

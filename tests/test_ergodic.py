@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -22,43 +23,73 @@ from taublab.ergodic import (
     rokhlin_tower,
     apply_power,
     transfer_witness,
-    validate_system,
 )
 from taublab.lattice import LatticeSet, interval, lattice_set
 
 
 class TestValidation:
     def test_swap_is_valid(self):
-        system = AtomicSystem(masses=(F(1, 2), F(1, 2)), dim=1, generators=((1, 0),))
-        assert validate_system(system).ok
+        AtomicSystem(masses=(F(1, 2), F(1, 2)), dim=1, generators=((1, 0),))
 
     def test_mass_not_preserved(self):
-        system = AtomicSystem(masses=(F(1, 3), F(2, 3)), dim=1, generators=((1, 0),))
-        report = validate_system(system)
-        assert not report.ok
-        assert "mass" in report.problem
+        with pytest.raises(DomainError, match="generator 0 does not preserve mass"):
+            AtomicSystem(masses=(F(1, 3), F(2, 3)), dim=1, generators=((1, 0),))
 
     def test_noncommuting_generators(self):
-        system = AtomicSystem(
-            masses=(F(1, 3),) * 3, dim=2, generators=((1, 0, 2), (0, 2, 1))
-        )
-        report = validate_system(system)
-        assert not report.ok
-        assert "commute" in report.problem
+        with pytest.raises(DomainError, match="generators 0 and 1 do not commute"):
+            AtomicSystem(masses=(F(1, 3),) * 3, dim=2, generators=((1, 0, 2), (0, 2, 1)))
 
     def test_masses_must_sum_to_one(self):
-        system = AtomicSystem(masses=(F(1, 2), F(1, 3)), dim=1, generators=((1, 0),))
-        assert "sum" in validate_system(system).problem
+        with pytest.raises(DomainError, match="sum"):
+            AtomicSystem(masses=(F(1, 2), F(1, 3)), dim=1, generators=((1, 0),))
 
     def test_not_a_permutation(self):
-        system = AtomicSystem(masses=(F(1, 2), F(1, 2)), dim=1, generators=((0, 0),))
-        assert "permutation" in validate_system(system).problem
+        with pytest.raises(DomainError, match="generator 0 is not a permutation"):
+            AtomicSystem(masses=(F(1, 2), F(1, 2)), dim=1, generators=((0, 0),))
+
+    @pytest.mark.parametrize("half", [0.5, "1/2"])
+    def test_inexact_masses_refused(self, half):
+        with pytest.raises(DomainError, match="exact rational"):
+            AtomicSystem(masses=(half, half), dim=1, generators=((1, 0),))
+
+    def test_float_generator_entry_refused(self):
+        with pytest.raises(DomainError, match="generator 0"):
+            AtomicSystem(masses=(F(1, 2), F(1, 2)), dim=1, generators=((1.0, 0),))
+
+    def test_non_integer_dim_refused(self):
+        for dim in (1.0, "1", F(1)):
+            with pytest.raises(DomainError, match="dimension"):
+                AtomicSystem(masses=(F(1, 2), F(1, 2)), dim=dim, generators=((1, 0),))
+
+    def test_masses_over_one_refused_before_halo_measure(self):
+        # these masses once gave a halo measure of 3/2
+        with pytest.raises(DomainError, match="sum"):
+            AtomicSystem(masses=(F(1, 2),) * 3, dim=1, generators=((1, 2, 0),))
+
+    def test_non_permutation_refused_before_halo_or_eval(self):
+        # this generator once gave a halo and pointwise values
+        with pytest.raises(DomainError, match="generator 0 is not a permutation"):
+            AtomicSystem(masses=(F(1, 3),) * 3, dim=1, generators=((0, 0, 1),))
+
+    def test_nonpositive_mass_names_atom(self):
+        with pytest.raises(DomainError, match=r"positive exact rational \(atoms \(1,\)\)"):
+            AtomicSystem(masses=(F(1), F(0)), dim=1, generators=((0, 1),))
+
+    def test_lists_are_accepted_and_stored_as_tuples(self):
+        system = AtomicSystem(masses=[F(1, 2), 1 - F(1, 2)], dim=1, generators=[[1, 0]])
+        assert system == make_cyclic(2)
+        assert system.masses == (F(1, 2), F(1, 2)) and system.generators == ((1, 0),)
+
+    def test_integer_masses_become_fractions(self):
+        system = AtomicSystem(masses=(1,), dim=1, generators=((0,),))
+        assert type(system.masses[0]) is F
+        assert ergodic_halo_measure(system, MeasurableSet.of(system, [0]), F(1, 2)) == 1
 
 
 class TestConstructors:
     def test_cyclic_is_valid(self):
         for n in (1, 2, 5, 12):
-            assert validate_system(make_cyclic(n)).ok
+            assert make_cyclic(n).atom_count == n
 
     def test_cyclic_one_has_index_one(self):
         assert index(make_cyclic(1)).value == 1
@@ -67,7 +98,6 @@ class TestConstructors:
         system = make_torus(3, 4)
         assert system.atom_count == 12
         assert system.dim == 2
-        assert validate_system(system).ok
 
     def test_zero_sizes_rejected(self):
         with pytest.raises(DomainError):
@@ -113,7 +143,6 @@ class TestEval:
         t22 = make_torus(2, 2)
         gens = tuple(g + tuple(x + 4 for x in g) for g in t22.generators)
         plane = AtomicSystem(masses=(F(1, 8),) * 8, dim=2, generators=gens)
-        assert validate_system(plane).ok
         E = MeasurableSet.of(plane, [1])
         assert eval_ergodic_max(plane, E, 0) == F(2, 3)  # the window [-1, 1] on axis 1
         assert [eval_ergodic_max(plane, E, a) for a in range(4, 8)] == [0] * 4
@@ -211,6 +240,12 @@ class TestTauberian:
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["1", "1"]
 
+    @pytest.mark.parametrize("constant", [exact_tauberian, one_sided_exact_tauberian])
+    def test_max_enum_cannot_raise_the_exhaustive_limit(self, constant):
+        # 2^40 masks would be walked, and a terabyte marked
+        with pytest.raises(DomainError, match="refusing exhaustive enumeration over 40 atoms"):
+            constant(make_cyclic(40), F(1, 2), max_enum=40)
+
     def test_heuristic_mode_above_limit(self):
         est = exact_tauberian(make_cyclic(24), F(1, 2), max_enum=10, budget=50)
         assert est.mode == "heuristic"
@@ -265,6 +300,10 @@ class TestJumpProfile:
         with pytest.raises(DomainError):
             jump_profile(25, [F(1, 2)])
 
+    def test_max_enum_cannot_raise_the_limit(self):
+        with pytest.raises(DomainError, match="limit 20"):
+            jump_profile(40, [F(1, 2)], max_enum=40)
+
     @pytest.mark.parametrize("args", [("5", 20), (5, 20.0)])
     def test_refuses_non_integer_arguments(self, args):
         with pytest.raises(DomainError):
@@ -286,6 +325,13 @@ class TestTowers:
     def test_pigeonhole_obstruction(self):
         with pytest.raises(DomainError):
             rokhlin_tower(make_torus(2), (3,))
+
+    def test_impossible_height_refused_before_building(self):
+        # 10^6 translates of one atom cannot be disjoint on 2 atoms
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="translates collide"):
+            rokhlin_tower(make_cyclic(2), (10**6,))
+        assert time.perf_counter() - start < 0.5
 
     def test_non_integer_heights_rejected(self):
         with pytest.raises(DomainError):

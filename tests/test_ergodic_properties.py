@@ -19,7 +19,6 @@ from taublab.ergodic import (
     one_sided_ergodic_halo_measure,
     one_sided_exact_tauberian,
     rokhlin_tower,
-    validate_system,
 )
 
 from oracles import (
@@ -118,7 +117,6 @@ def test_witness_is_lex_least_maximiser():
             dim=1,
             generators=(tuple(perm[a] for a in range(n)),),
         )
-        assert validate_system(system).ok
         for alpha in (F(rng.randint(1, 11), 12), F(1, 2)):
             ratios = {}
             for mask in range(1, 1 << n):
@@ -356,7 +354,6 @@ def test_nd_halo_matches_brute_window_scan():
     ]
     for masses, generators in cases:
         system = relabelled(rng, masses, generators)
-        assert validate_system(system).ok
         total = system.atom_count
         for _ in range(3):
             atoms = rng.sample(range(total), rng.randint(1, max(1, total // 2)))
@@ -385,7 +382,6 @@ def test_one_sided_halo_matches_brute_forward_scan():
         lengths = [rng.choice((1, 1, 2, 3, 4, 7, 12)) for _ in range(rng.randint(1, 5))]
         masses, generators = disjoint_union(*(cycles(n) for n in lengths))
         system = relabelled(rng, masses, generators)
-        assert validate_system(system).ok
         total = system.atom_count
         perm = list(system.generators[0])
         for _ in range(3):
@@ -438,7 +434,6 @@ def test_class_enumeration_matches_full_enumeration():
     ]
     for masses, generators in cases:
         system = relabelled(rng, masses, generators)
-        assert validate_system(system).ok
         alphas = {F(rng.randint(1, 11), 12)}
         if system.dim == 1:
             perm = generators[0]

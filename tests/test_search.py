@@ -110,6 +110,15 @@ class TestFamilies:
         four = LatticeSet.from_points([(i, i) for i in range(4)])
         assert halo_ratio(four, F(1, 16)) == 83
 
+    @pytest.mark.parametrize("short, strategy, dim", [
+        ("intervals", "interval-family", 1), ("boxes", "box-family", 2),
+        ("products", "product-family", 2), ("staircases", "staircase-family", 2),
+    ])
+    def test_short_name_is_its_strategy(self, short, strategy, dim):
+        by_short = family_search(short, F(1, 3), dim=dim, max_block=3)
+        assert by_short.strategy == strategy
+        assert by_short == family_search(strategy, F(1, 3), dim=dim, max_block=3)
+
     def test_family_shape_errors(self):
         with pytest.raises(DomainError):
             family_search("staircases", F(1, 2), dim=1)
