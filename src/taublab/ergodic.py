@@ -577,11 +577,11 @@ class TowerBase:
     heights: tuple[int, ...]
 
     def translates(self) -> list[tuple[int, ...]]:
-        system = self.base.system
-        out = []
-        for exps in _cartesian(*(range(h) for h in self.heights)):
-            out.append(tuple(sorted(apply_power(system, a, exps) for a in self.base.atoms)))
-        return out
+        out = [self.base.atoms]
+        for perm, h in zip(self.base.system.generators, self.heights):
+            step = lambda atoms, _, perm=perm: tuple(perm[a] for a in atoms)
+            out = [t for row in out for t in accumulate(range(1, h), step, initial=row)]
+        return [tuple(sorted(t)) for t in out]
 
     def is_disjoint(self) -> bool:
         translates = self.translates()

@@ -311,15 +311,19 @@ def exceeds(E: LatticeSet, m, alpha: Fraction) -> bool:
 
 def _halo_runs(E: LatticeSet, alpha: Fraction) -> tuple[Fraction, list[Run]]:
     alpha = require_alpha(alpha)
+    return alpha, _kernel_runs(E, alpha.numerator, alpha.denominator)
+
+
+def _kernel_runs(E: LatticeSet, p: int, q: int) -> list[Run]:
+    """The halo's runs at p/q, from the kernel that the shape of E selects."""
     if len(E) == 0:
         raise DomainError("halo of an empty set is undefined")
-    p, q = alpha.numerator, alpha.denominator
     if E.dim == 1:
-        return alpha, _halo_1d(E, p, q)
+        return _halo_1d(E, p, q)
     axes = [sorted({pt[i] for pt in E.points}) for i in range(E.dim)]
     if prod(map(len, axes)) == len(E):  # E is the product of its coordinate sets
-        return alpha, _halo_product(axes, p, q)
-    return alpha, (_halo_2d if E.dim == 2 else _halo_nd)(E, p, q)
+        return _halo_product(axes, p, q)
+    return (_halo_2d if E.dim == 2 else _halo_nd)(E, p, q)
 
 
 def _halo_set(E: LatticeSet, alpha: Fraction, runs: list[Run]) -> HaloSet:

@@ -16,10 +16,13 @@ import random
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _cartesian
+from itertools import combinations, product as _cartesian
+from operator import mul
 
 from .errors import DomainError
+from .ergodic import _byte_tables
 from .estimate import TauberianEstimate
+from .lattice import _halo_1d, _kernel_runs
 from .lattice import (
     LatticeSet,
     halo_ratio,
@@ -110,34 +113,72 @@ def _estimate(alpha: Fraction, best: LexMax, dim: int, strategy: str, mode: str)
 
 
 def exhaustive_search(window, alpha: Fraction, one_sided: bool = False) -> TauberianEstimate:
-    """Exact maximum of the halo ratio over every translation class of
-    nonempty subsets of the window.
+    """Exact maximum of the halo ratio over the window's nonempty subsets.
 
-    Classes are deduplicated by keeping only subsets whose per-axis minimum
-    sits on the window's low corner (translation equivariance makes the ratio
-    class-invariant); witnesses are reported translated so their per-axis
-    minima are 0.
+    The strong operator averages over all axis-parallel boxes, so a map of
+    Z^n carrying boxes to boxes of the same volume (a translation, an axis
+    reflection, a swap of two axes) keeps the two-sided ratio, and one halo
+    per symmetry class is computed.  Canonical masks (per-axis minima 0) are
+    walked in increasing order; an unseen one opens a class, closed under
+    the reflections and the swaps of axes of equal extent, each image moved
+    back to the low corner.  Reflections change one-sided ratios
+    ({0,2,3,4,5,9,10} at 3/5 gives 11/7, its mirror image 10/7), so one-sided
+    classes are translation classes.  A class that ties or beats the best
+    ratio, compared in integers, offers its least point tuple: the witness is
+    the least maximiser over all subsets.
     """
     alpha = require_alpha(alpha)
-    window = _require_window(window)
-    card = 1
-    for lo, hi in window:
-        card *= hi - lo + 1
-    if card > EXHAUSTIVE_WINDOW_LIMIT:
-        raise DomainError(
-            f"window has {card} points; exhaustive search refuses above {EXHAUSTIVE_WINDOW_LIMIT}"
-        )
+    extents = [hi - lo + 1 for lo, hi in _require_window(window)]
+    k, dim = math.prod(extents), len(extents)
+    if k > EXHAUSTIVE_WINDOW_LIMIT:
+        raise DomainError(f"window has {k} points; exhaustive search refuses above "
+                          f"{EXHAUSTIVE_WINDOW_LIMIT}")
+    if one_sided and dim != 1:
+        raise DomainError("one-sided operators are defined on Z only")
     # translated once; the product order is lexicographic, so is every subset
-    points = list(_cartesian(*(range(hi - lo + 1) for lo, hi in window)))
-    # faces[i] has the bits of the points on the window's low face along axis i
-    faces = [sum(1 << j for j, p in enumerate(points) if p[i] == 0) for i in range(len(window))]
-    best = LexMax()
-    for mask in range(1, 1 << len(points)):
-        if all(mask & face for face in faces):
-            chosen = tuple(p for j, p in enumerate(points) if mask >> j & 1)
-            E = LatticeSet(dim=len(window), points=chosen)
-            _offer(best, _ratio(E, alpha, one_sided), E)
-    return _estimate(alpha, best, len(window), "exhaustive", "exact")
+    points = list(_cartesian(*(range(e) for e in extents)))
+    strides = [math.prod(extents[i + 1:]) for i in range(dim)]
+    faces = [sum(1 << j for j, pt in enumerate(points) if pt[i] == 0) for i in range(dim)]
+    # (point map, low face and stride of the axis a reflection moves off the low
+    # corner, or -1 and 0 for a swap); maps are one-to-one, so + is | in their tables
+    maps = [] if one_sided else [
+        ([pt[:i] + (e - 1 - pt[i],) + pt[i + 1:] for pt in points], faces[i], strides[i])
+        for i, e in enumerate(extents) if e > 1] + [
+        ([pt[:i] + (pt[j],) + pt[i + 1:j] + (pt[i],) + pt[j + 1:] for pt in points], -1, 0)
+        for i, j in combinations(range(dim), 2) if extents[i] == extents[j]]
+    generators = [(_byte_tables(k, 0, lambda j, g=g: 1 << sum(map(mul, g[j], strides))), *rest)
+                  for g, *rest in maps]
+    tuples = _byte_tables(k, (), lambda j: (points[j],))
+
+    def gather(tables: list[list], mask: int, out):
+        for table in tables:
+            out += table[mask & 255]
+            mask >>= 8
+        return out
+
+    seen = bytearray(1 << k)
+    seen[::1 << strides[0]] = b"\1" * (1 << (k - strides[0]))  # missing the low face of axis 0
+    p, q = alpha.numerator, alpha.denominator
+    best, rep = LexMax(), 0
+    while (rep := seen.find(0, rep + 1)) > 0:
+        if not all(rep & face for face in faces[1:]):
+            continue  # not canonical, so no canonical mask's image either
+        seen[rep] = 1
+        members = [rep]
+        for mask in members:  # grows while it is walked: a closure by search
+            for tables, face, stride in generators:
+                image = gather(tables, mask, 0)
+                while not image & face:  # a reflection leaves its axis off the low face
+                    image >>= stride
+                if not seen[image]:
+                    seen[image] = 1
+                    members.append(image)
+        E = LatticeSet(dim=dim, points=gather(tuples, rep, ()))
+        runs = _halo_1d(E, p, q, two_sided=False) if one_sided else _kernel_runs(E, p, q)
+        count, size = sum(b - a + 1 for _, a, b in runs), len(E.points)
+        if count * best.den >= best.num * size:
+            best.offer(count, size, min(gather(tuples, m, ()) for m in members))
+    return _estimate(alpha, best, dim, "exhaustive", "exact")
 
 
 def _family_members(family: str, dim: int, max_block: int):
@@ -245,7 +286,7 @@ def anneal_search(config: SearchConfig, alpha: Fraction) -> TauberianEstimate:
             pts.remove(pt)
         else:
             pts.add(pt)
-        candidate = LatticeSet.from_points(pts)
+        candidate = LatticeSet(dim=config.dim, points=tuple(sorted(pts)))  # checked window points
         value = ratio_of(candidate)
         if value >= current_value:
             accept = True

@@ -9,7 +9,7 @@ with these oracles.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 
 def brute_strong_max(points, m, pad=None):
@@ -209,3 +209,46 @@ def brute_exact_tauberian(system, alpha, one_sided=False):
         ratios[E.atoms] = halo_mass / sum((system.masses[a] for a in E.atoms), Fraction(0))
     best = max(ratios.values())
     return best, min(atoms for atoms, r in ratios.items() if r == best)
+
+
+def brute_exhaustive_search(window, alpha, one_sided=False):
+    """(value, witness points) of the exhaustive lattice search, by the walk
+    over translation classes only: every subset of the window meeting each
+    of its low faces, moved so its per-axis minima are 0, scored with a full
+    halo ratio; ties go to the least sorted point tuple.
+
+    Ratios come from the package's halo functions, which the oracles above
+    check; only the enumeration and the tie rule are independent here."""
+    from taublab.lattice import LatticeSet, halo_ratio, one_sided_halo_ratio
+
+    ratio = one_sided_halo_ratio if one_sided else halo_ratio
+    points = list(product(*(range(hi - lo + 1) for lo, hi in window)))
+    faces = [sum(1 << j for j, p in enumerate(points) if p[i] == 0) for i in range(len(window))]
+    ratios = {}
+    for mask in range(1, 1 << len(points)):
+        if all(mask & face for face in faces):
+            chosen = tuple(p for j, p in enumerate(points) if mask >> j & 1)
+            ratios[chosen] = ratio(LatticeSet(dim=len(window), points=chosen), Fraction(alpha))
+    best = max(ratios.values())
+    return best, min(pts for pts, r in ratios.items() if r == best)
+
+
+def brute_symmetry_classes(extents):
+    """Number of classes of nonempty subsets of the box {0..e-1} over the
+    given extents under translations, axis reflections and permutations of
+    axes of equal extent: the distinct least normal forms over all images."""
+    d = len(extents)
+    points = list(product(*(range(e) for e in extents)))
+    perms = [s for s in permutations(range(d))
+             if all(extents[s[i]] == extents[i] for i in range(d))]
+    forms = set()
+    for mask in range(1, 1 << len(points)):
+        S = [p for j, p in enumerate(points) if mask >> j & 1]
+        images = []
+        for perm in perms:
+            for signs in product((1, -1), repeat=d):
+                T = [tuple(signs[i] * p[perm[i]] for i in range(d)) for p in S]
+                lows = [min(t[i] for t in T) for i in range(d)]
+                images.append(tuple(sorted(tuple(c - lo for c, lo in zip(t, lows)) for t in T)))
+        forms.add(min(images))
+    return len(forms)

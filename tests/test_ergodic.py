@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,7 @@ from taublab.errors import DomainError
 from taublab.ergodic import (
     AtomicSystem,
     MeasurableSet,
+    TowerBase,
     ergodic_halo_measure,
     eval_ergodic_max,
     exact_tauberian,
@@ -336,6 +338,24 @@ class TestTowers:
     def test_non_integer_heights_rejected(self):
         with pytest.raises(DomainError):
             rokhlin_tower(make_cyclic(8), (2.9,))
+
+    def test_translates_step_in_exponent_order(self):
+        system = make_torus(3, 4)
+        tower = TowerBase(base=MeasurableSet.of(system, [0, 5]), heights=(2, 3))
+        assert tower.translates() == [
+            tuple(sorted(apply_power(system, a, exps) for a in (0, 5)))
+            for exps in product(range(2), range(3))
+        ]
+
+    def test_tall_towers_are_linear(self):
+        # one step per translate; one apply_power per translate made the
+        # tower quadratic in its height
+        system = make_cyclic(20_000)
+        for build in (lambda: rokhlin_tower(system, (20_000,)), lambda: index(system)):
+            start = time.perf_counter()
+            build()
+            assert time.perf_counter() - start < 1
+        assert index(system).value == 20_000
 
 
 class TestTransfer:

@@ -1,15 +1,24 @@
 """Search strategies: exactness on small spaces, certification, determinism."""
 
 import os
+import random
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+from taublab import search
 from taublab.errors import DomainError, InputFormatError
 from taublab.formats import sweep_to_csv
-from taublab.lattice import LatticeSet, halo_ratio, interval, interval_witness, one_sided_halo_ratio
+from taublab.lattice import (
+    LatticeSet,
+    halo_ratio,
+    interval,
+    interval_witness,
+    lattice_set,
+    one_sided_halo_ratio,
+)
 from taublab.search import (
     SearchConfig,
     anneal_search,
@@ -22,7 +31,12 @@ from taublab.search import (
     sweep,
 )
 
+from oracles import brute_exhaustive_search, brute_symmetry_classes
+
 DATA = Path(__file__).parent / "data"
+# the least maximiser at 1/3 over the 4x4 window, found by the translation-only walk
+WITNESS_4X4 = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (1, 3),
+               (2, 0), (2, 1), (2, 2), (3, 1))
 
 
 class TestExhaustive:
@@ -86,6 +100,75 @@ class TestExhaustive:
             est = exhaustive_search(window, alpha, one_sided=one_sided)
             assert est.value == best
             assert est.witness.points == min(k for k, v in ratios.items() if v == best)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_translation_class_oracle(self, dim):
+        """Symmetry classes give the value and witness of the walk over every
+        translation class, on random windows: 1-D up to 12 points on both
+        sides, 2-D up to 3x4 (the oracle takes ~0.5 s per 3x4 threshold)."""
+        rng = random.Random(20261019 + dim)
+        if dim == 1:
+            cases = [((n,), one_sided) for n in range(1, 13) for one_sided in (False, True)]
+        else:
+            shapes = [(1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 3)]
+            cases = [(shape, False) for shape in shapes]
+        for extents, one_sided in cases:
+            lows = [rng.randint(-5, 5) for _ in extents]
+            window = tuple((lo, lo + e - 1) for lo, e in zip(lows, extents))
+            alpha = F(rng.randint(1, 19), 20)
+            est = exhaustive_search(window, alpha, one_sided=one_sided)
+            value, witness = brute_exhaustive_search(window, alpha, one_sided)
+            assert (est.value, est.witness.points) == (value, witness), (window, one_sided, alpha)
+
+    def test_one_sided_search_keeps_mirror_images_apart(self, monkeypatch):
+        """A reflection changes the one-sided ratio, so a one-sided search
+        scores a set and its mirror image apart: one halo per translation
+        class.  (Its maximisers are intervals, which are their own mirror
+        images, so the value alone cannot show a wrongly merged pair.)"""
+        E, mirror = lattice_set([0, 2, 3, 4, 5, 9, 10]), lattice_set([0, 1, 5, 6, 7, 8, 10])
+        assert one_sided_halo_ratio(E, F(3, 5)) == F(11, 7)
+        assert one_sided_halo_ratio(mirror, F(3, 5)) == F(10, 7)
+        scored = []
+        kernel = search._halo_1d
+        monkeypatch.setattr(search, "_halo_1d", lambda S, *args, **kwargs: scored.append(S.points)
+                            or kernel(S, *args, **kwargs))
+        est = exhaustive_search(((0, 10),), F(3, 5), one_sided=True)
+        assert (est.value, est.witness.points) == brute_exhaustive_search(((0, 10),), F(3, 5), True)
+        assert len(scored) == 1 << 10
+        assert E.points in scored and mirror.points in scored
+
+    @pytest.mark.parametrize("extents", [(12,), (3, 4), (4, 3), (2, 2, 2), (1, 3, 3)])
+    def test_one_halo_per_symmetry_class(self, extents, monkeypatch):
+        scored = []
+        monkeypatch.setattr(search, "_kernel_runs",
+                            lambda S, p, q: scored.append(S) or [((), 0, 0)])
+        exhaustive_search(tuple((0, e - 1) for e in extents), F(1, 3))
+        assert len(scored) == brute_symmetry_classes(extents)
+        assert all(min(pt[i] for pt in S.points) == 0 for S in scored for i in range(len(extents)))
+
+    def test_witness_is_least_member_of_its_class(self, monkeypatch):
+        """With a kernel that is invariant under the symmetries and favours
+        sets with no two points on a row or column, the diagonal pairs of a
+        2x2 window win; the class is opened by the mask of {(0,1), (1,0)},
+        but the witness is the least member, {(0,0), (1,1)}."""
+        def kernel(S, p, q):
+            spread = all(len({pt[i] for pt in S.points}) == len(S) for i in range(2))
+            return [((), 1, len(S) ** 2 if spread else len(S))]
+
+        monkeypatch.setattr(search, "_kernel_runs", kernel)
+        est = exhaustive_search(((0, 1), (5, 6)), F(1, 2))
+        assert (est.value, est.witness.points) == (2, ((0, 0), (1, 1)))
+
+    def test_square_window_of_sixteen(self):
+        # 57856 translation classes, 7625 symmetry classes; the
+        # translation-only walk took about 20 s
+        est = exhaustive_search(((0, 3), (0, 3)), F(1, 3))
+        assert est.value == F(125, 11)
+        assert est.witness.points == WITNESS_4X4
+
+    def test_one_sided_window_must_be_1d(self):
+        with pytest.raises(DomainError):
+            exhaustive_search(((0, 1), (0, 1)), F(1, 2), one_sided=True)
 
     @pytest.mark.parametrize("alpha", [F(1, 2), F(2, 3)])
     def test_dominates_families_inside_the_window(self, alpha):
