@@ -9,7 +9,8 @@ rejected with a hint, since the quantities computed here jump exactly at
 rational thresholds.  Every file written gets a deterministic sidecar
 manifest <out>.manifest.json recording the command, resolved configuration,
 seeds, input digests, and tool version; rerunning the same invocation
-reproduces output bytes exactly.
+reproduces output bytes exactly.  `main` builds its parser once per process,
+on its first call, so it may be called repeatedly in one process.
 """
 
 from __future__ import annotations
@@ -387,10 +388,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # main's, built by its first call
+
+
 def main(argv=None) -> int:
+    global _parser
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args, argv)
     except InputFormatError as exc:

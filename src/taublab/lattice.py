@@ -311,19 +311,22 @@ def exceeds(E: LatticeSet, m, alpha: Fraction) -> bool:
 
 def _halo_runs(E: LatticeSet, alpha: Fraction) -> tuple[Fraction, list[Run]]:
     alpha = require_alpha(alpha)
-    return alpha, _kernel_runs(E, alpha.numerator, alpha.denominator)
+    return alpha, _kernel_runs(E.points, alpha.numerator, alpha.denominator)
 
 
-def _kernel_runs(E: LatticeSet, p: int, q: int) -> list[Run]:
-    """The halo's runs at p/q, from the kernel that the shape of E selects."""
-    if len(E) == 0:
+def _kernel_runs(points: tuple[Point, ...], p: int, q: int) -> list[Run]:
+    """The halo's runs at p/q of a set's sorted points, by the kernel their shape selects."""
+    if not points:
         raise DomainError("halo of an empty set is undefined")
-    if E.dim == 1:
-        return _halo_1d(E, p, q)
-    axes = [sorted({pt[i] for pt in E.points}) for i in range(E.dim)]
-    if prod(map(len, axes)) == len(E):  # E is the product of its coordinate sets
+    dim = len(points[0])
+    if dim == 1:
+        return _halo_1d(points, p, q)
+    axes = [sorted({pt[i] for pt in points}) for i in range(dim)]
+    if prod(map(len, axes)) == len(points):  # the product of its coordinate sets
         return _halo_product(axes, p, q)
-    return (_halo_2d if E.dim == 2 else _halo_nd)(E, p, q)
+    if dim == 2:
+        return _halo_2d(points, p, q)
+    return _halo_nd(LatticeSet(dim=dim, points=points), p, q)
 
 
 def _halo_set(E: LatticeSet, alpha: Fraction, runs: list[Run]) -> HaloSet:
@@ -372,8 +375,8 @@ def halo_ratio(E: LatticeSet, alpha: Fraction) -> Fraction:
     return _runs_ratio(E, _halo_runs(E, alpha)[1])
 
 
-def _halo_1d(E: LatticeSet, p: int, q: int, two_sided: bool = True) -> list[Run]:
-    xs = [x for (x,) in E.points]
+def _halo_1d(points: tuple[Point, ...], p: int, q: int, two_sided: bool = True) -> list[Run]:
+    xs = [x for (x,) in points]
     return [((), a, b) for a, b in _point_cover(xs, [q - p] * len(xs), p, two_sided)]
 
 
@@ -445,8 +448,8 @@ def _halo_product(axes: list[list[int]], p: int, q: int) -> list[Run]:
     return level(0, p, q)
 
 
-def _halo_2d(E: LatticeSet, p: int, q: int) -> list[Run]:
-    """Halo of a planar set at p/q from line scans of bands of rows.
+def _halo_2d(points: tuple[Point, ...], p: int, q: int) -> list[Run]:
+    """Halo at p/q of the planar set E of sorted points, from line scans of bands of rows.
 
     A box that witnesses a member m shrinks to the hull of its points of E and
     m, so its rows are a band [a, b] with both ends rows of E, grown to take
@@ -462,10 +465,10 @@ def _halo_2d(E: LatticeSet, p: int, q: int) -> list[Run]:
     the span.
     """
     rows: dict[int, list[int]] = {}
-    for r, c in E.points:
+    for r, c in points:
         rows.setdefault(r, []).append(c)
     ys = list(rows)
-    limit = q * len(E)
+    limit = q * len(points)
     cover: dict[int, list[tuple[int, int]]] = {}
 
     def runs(cols: list[int], counts: list[int], h: int) -> list[tuple[int, int]]:
@@ -571,7 +574,7 @@ def one_sided_max(E: LatticeSet, m) -> Fraction:
 def _one_sided_runs(E: LatticeSet, alpha: Fraction) -> tuple[Fraction, list[Run]]:
     alpha = require_alpha(alpha)
     _check_one_sided(E)
-    return alpha, _halo_1d(E, alpha.numerator, alpha.denominator, two_sided=False)
+    return alpha, _halo_1d(E.points, alpha.numerator, alpha.denominator, two_sided=False)
 
 
 def one_sided_halo(E: LatticeSet, alpha: Fraction) -> HaloSet:

@@ -58,9 +58,11 @@ def require_rational(value, what: str) -> Fraction:
 
 
 def require_alpha(alpha: Fraction) -> Fraction:
-    """Validate a level threshold: must be a rational strictly inside (0, 1)."""
-    alpha = require_rational(alpha, "threshold")
-    if not (0 < alpha < 1):
+    """Validate a level threshold: must be a rational strictly inside (0, 1).
+    A plain Fraction comes back as it is; anything else goes through require_rational."""
+    if type(alpha) is not Fraction:
+        alpha = require_rational(alpha, "threshold")
+    if not 0 < alpha.numerator < alpha.denominator:
         raise DomainError(f"threshold must lie strictly inside (0, 1), got {alpha}")
     return alpha
 

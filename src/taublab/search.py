@@ -28,7 +28,6 @@ from .lattice import (
     halo_ratio,
     interval,
     one_sided_halo_ratio,
-    product_witness,
 )
 from .rational import LexMax, require_alpha, require_integers, require_rational
 
@@ -173,35 +172,26 @@ def exhaustive_search(window, alpha: Fraction, one_sided: bool = False) -> Taube
                 if not seen[image]:
                     seen[image] = 1
                     members.append(image)
-        E = LatticeSet(dim=dim, points=gather(tuples, rep, ()))
-        runs = _halo_1d(E, p, q, two_sided=False) if one_sided else _kernel_runs(E, p, q)
-        count, size = sum(b - a + 1 for _, a, b in runs), len(E.points)
+        pts = gather(tuples, rep, ())
+        runs = _halo_1d(pts, p, q, two_sided=False) if one_sided else _kernel_runs(pts, p, q)
+        count, size = sum(b - a + 1 for _, a, b in runs), len(pts)
         if count * best.den >= best.num * size:
             best.offer(count, size, min(gather(tuples, m, ()) for m in members))
     return _estimate(alpha, best, dim, "exhaustive", "exact")
 
 
 def _family_members(family: str, dim: int, max_block: int):
-    if max_block < 1:
-        raise DomainError("family size bound must be >= 1")
+    if max_block < 1 or dim < 1:
+        raise DomainError("family size bound and dimension must be >= 1")
     if family == "interval-family":
         if dim != 1:
             raise DomainError("the interval family is 1-D")
         return [interval(k) for k in range(1, max_block + 1)]
-    if family == "box-family":
-        members = []
-        for sides in _cartesian(*(range(1, max_block + 1) for _ in range(dim))):
-            pts = _cartesian(*(range(s) for s in sides))
-            members.append(LatticeSet.from_points(pts))
-        return members
-    if family == "product-family":
-        if dim != 2:
-            raise DomainError("the product family is 2-D")
-        return [
-            product_witness(interval(k), interval(l))
-            for k in range(1, max_block + 1)
-            for l in range(1, max_block + 1)
-        ]
+    if family == "product-family" and dim != 2:
+        raise DomainError("the product family is 2-D")
+    if family in ("box-family", "product-family"):  # planar products of blocks are boxes
+        return [LatticeSet(dim=dim, points=tuple(_cartesian(*map(range, sides))))
+                for sides in _cartesian(*(range(1, max_block + 1) for _ in range(dim)))]
     if family == "staircase-family":
         if dim != 2:
             raise DomainError("the staircase family is 2-D")
@@ -219,16 +209,23 @@ def family_search(
     max_block: int = 60,
     one_sided: bool = False,
 ) -> TauberianEstimate:
-    """Best ratio over a structured witness family, certified by recomputation."""
+    """Best ratio over a structured witness family, certified by recomputation.
+
+    A permutation of the axes carries boxes to boxes of the same volume, so it
+    keeps the two-sided ratio: a box's ratio depends only on its sorted sides,
+    and box and product families compute one per sorted side tuple.  Every
+    member is still offered, so the witness is the least maximiser.
+    """
     alpha = require_alpha(alpha)
     dim, max_block = require_integers((dim, max_block), "dim and max_block")
     family = _FAMILY_NAMES.get(family, family)
     members = _family_members(family, dim, max_block)
-    if not members:
-        raise DomainError("empty witness family")
-    best = LexMax()
-    for E in members:
-        _offer(best, _ratio(E, alpha, one_sided), E)
+    best, ratios, boxes = LexMax(), {}, family in ("box-family", "product-family")
+    for E in members:  # a box's last point is its sides less one
+        key = tuple(sorted(E.points[-1])) if boxes else E.points
+        if key not in ratios:
+            ratios[key] = _ratio(E, alpha, one_sided)
+        _offer(best, ratios[key], E)
     return _estimate(alpha, best, dim, family, "exact")
 
 

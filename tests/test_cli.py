@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from taublab.cli import main
+from taublab.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -248,6 +248,42 @@ class TestVerify:
         code, out, _ = run(["verify", "forced"], capsys)
         assert code == 1
         assert "FAIL" in out
+
+
+class TestParserReuse:
+    def test_main_builds_its_parser_once(self, set_file, monkeypatch, capsys):
+        import taublab.cli as cli
+
+        built = []
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        for argv in (["eval", set_file, "--point", "4"], ["verify", "example1"],
+                     ["eval", set_file, "--point", "4", "--alpha", "1/2"], ["verify", "nonsense"]):
+            run(argv, capsys)
+        assert len(built) == 1
+        assert build_parser() is not build_parser()
+
+    def test_halo_options_do_not_leak(self, set_file, tmp_path, capsys):
+        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
+        halo = ["halo", set_file, "--alpha", "1/2", "--out"]
+        assert run(halo + [out_a, "--format", "json"], capsys)[0] == 0
+        assert run(halo + [out_b], capsys)[0] == 0
+        assert json.loads(out_a.read_text())["alpha"] == "1/2"
+        assert out_b.read_text().startswith("x0\n")
+        assert json.loads(Path(str(out_b) + ".manifest.json").read_text())["config"]["format"] == "csv"
+
+    def test_sweep_flags_do_not_leak(self, tmp_path, capsys, monkeypatch):
+        import taublab.cli as cli
+
+        sweep = ["sweep", "--grid", "1/4,1/2", "--max-block", "8", "--out"]
+        assert run(sweep[:1] + ["--one-sided"] + sweep[1:] + [tmp_path / "one.csv"], capsys)[0] == 0
+        assert run(sweep + [tmp_path / "two.csv"], capsys)[0] == 0
+        monkeypatch.setattr(cli, "_parser", None)  # the same call on a fresh parser
+        assert run(sweep + [tmp_path / "fresh.csv"], capsys)[0] == 0
+        two, fresh = (tmp_path / "two.csv").read_bytes(), (tmp_path / "fresh.csv").read_bytes()
+        assert two == fresh != (tmp_path / "one.csv").read_bytes()
+        manifest = json.loads((tmp_path / "two.csv.manifest.json").read_text())
+        assert manifest["config"]["one_sided"] is False
 
 
 def test_console_entry_point():

@@ -219,7 +219,7 @@ def test_product_kernel_matches_planar_kernel():
         E = LatticeSet.from_points(list(product(*axes)))
         alpha = F(rng.randint(1, 19), 20) if i % 2 else F(1, rng.randint(2, 30))
         p, q = alpha.numerator, alpha.denominator
-        assert lattice._halo_product(axes, p, q) == lattice._halo_2d(E, p, q)
+        assert lattice._halo_product(axes, p, q) == lattice._halo_2d(E.points, p, q)
 
 
 def test_product_kernel_matches_pointwise_halos_3d():

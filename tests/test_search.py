@@ -18,6 +18,7 @@ from taublab.lattice import (
     interval_witness,
     lattice_set,
     one_sided_halo_ratio,
+    product_witness,
 )
 from taublab.search import (
     SearchConfig,
@@ -130,8 +131,8 @@ class TestExhaustive:
         assert one_sided_halo_ratio(mirror, F(3, 5)) == F(10, 7)
         scored = []
         kernel = search._halo_1d
-        monkeypatch.setattr(search, "_halo_1d", lambda S, *args, **kwargs: scored.append(S.points)
-                            or kernel(S, *args, **kwargs))
+        monkeypatch.setattr(search, "_halo_1d", lambda pts, *args, **kwargs: scored.append(pts)
+                            or kernel(pts, *args, **kwargs))
         est = exhaustive_search(((0, 10),), F(3, 5), one_sided=True)
         assert (est.value, est.witness.points) == brute_exhaustive_search(((0, 10),), F(3, 5), True)
         assert len(scored) == 1 << 10
@@ -141,19 +142,19 @@ class TestExhaustive:
     def test_one_halo_per_symmetry_class(self, extents, monkeypatch):
         scored = []
         monkeypatch.setattr(search, "_kernel_runs",
-                            lambda S, p, q: scored.append(S) or [((), 0, 0)])
+                            lambda pts, p, q: scored.append(pts) or [((), 0, 0)])
         exhaustive_search(tuple((0, e - 1) for e in extents), F(1, 3))
         assert len(scored) == brute_symmetry_classes(extents)
-        assert all(min(pt[i] for pt in S.points) == 0 for S in scored for i in range(len(extents)))
+        assert all(min(pt[i] for pt in pts) == 0 for pts in scored for i in range(len(extents)))
 
     def test_witness_is_least_member_of_its_class(self, monkeypatch):
         """With a kernel that is invariant under the symmetries and favours
         sets with no two points on a row or column, the diagonal pairs of a
         2x2 window win; the class is opened by the mask of {(0,1), (1,0)},
         but the witness is the least member, {(0,0), (1,1)}."""
-        def kernel(S, p, q):
-            spread = all(len({pt[i] for pt in S.points}) == len(S) for i in range(2))
-            return [((), 1, len(S) ** 2 if spread else len(S))]
+        def kernel(pts, p, q):
+            spread = all(len({pt[i] for pt in pts}) == len(pts) for i in range(2))
+            return [((), 1, len(pts) ** 2 if spread else len(pts))]
 
         monkeypatch.setattr(search, "_kernel_runs", kernel)
         est = exhaustive_search(((0, 1), (5, 6)), F(1, 2))
@@ -209,6 +210,43 @@ class TestFamilies:
             family_search("intervals", F(1, 2), max_block=0)
         with pytest.raises(DomainError):
             family_search("nonsense", F(1, 2))
+        with pytest.raises(DomainError):
+            family_search("boxes", F(1, 2), dim=0)
+
+    @pytest.mark.parametrize("family, dim, max_block", [
+        ("box-family", 1, 12), ("box-family", 2, 6), ("box-family", 3, 3),
+        ("product-family", 2, 4), ("product-family", 2, 10), ("interval-family", 1, 20),
+    ])
+    def test_matches_a_plain_loop_over_the_members(self, family, dim, max_block):
+        """One ratio per sorted side tuple gives the value and witness that
+        scoring every member does."""
+        rng = random.Random(dim * 100 + max_block)
+        for alpha in [F(1, 2), F(1, 9), F(5, 9), F(rng.randint(1, 19), 20)]:
+            value, witness = -1, None
+            for E in search._family_members(family, dim, max_block):
+                r = halo_ratio(E, alpha)
+                if r > value or (r == value and E.points < witness.points):
+                    value, witness = r, E
+            est = family_search(family, alpha, dim=dim, max_block=max_block)
+            assert (est.value, est.witness) == (value, witness)
+            assert (est.strategy, est.mode) == (family, "exact")
+
+    def test_box_members_are_the_product_members(self):
+        boxes = search._family_members("box-family", 2, 5)
+        assert boxes == search._family_members("product-family", 2, 5)
+        assert boxes == [product_witness(interval(k), interval(l))
+                         for k in range(1, 6) for l in range(1, 6)]
+        assert search._family_members("box-family", 3, 2)[-1] == LatticeSet.from_points(
+            product(range(2), repeat=3))
+
+    def test_one_ratio_per_sorted_side_tuple(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(search, "halo_ratio", lambda E, a: calls.append(E) or halo_ratio(E, a))
+        family_search("products", F(5, 9), dim=2, max_block=10)
+        assert len(calls) == 55
+        calls.clear()
+        family_search("boxes", F(1, 3), dim=3, max_block=3)
+        assert len(calls) == 10
 
     @pytest.mark.parametrize("kwargs", [{"max_block": 2.5}, {"dim": 2.0}, {"max_block": "3"}])
     def test_family_refuses_non_integer_arguments(self, kwargs):
