@@ -20,10 +20,11 @@ from itertools import combinations, product as _cartesian
 from operator import mul
 
 from .errors import DomainError
-from .ergodic import _byte_tables
+from .ergodic import _byte_tables, _gather
 from .estimate import TauberianEstimate
 from .lattice import _halo_1d, _kernel_runs
 from .lattice import (
+    HALO_MEMBER_LIMIT,
     LatticeSet,
     halo_ratio,
     interval,
@@ -38,6 +39,7 @@ STRATEGIES = ("exhaustive", "interval-family", "box-family", "product-family",
 # short names accepted by family_search, each for its strategy name
 _FAMILY_NAMES = {"intervals": "interval-family", "boxes": "box-family",
                  "products": "product-family", "staircases": "staircase-family"}
+_BOX_FAMILIES = ("box-family", "product-family")
 
 
 @dataclass(frozen=True)
@@ -149,12 +151,6 @@ def exhaustive_search(window, alpha: Fraction, one_sided: bool = False) -> Taube
                   for g, *rest in maps]
     tuples = _byte_tables(k, (), lambda j: (points[j],))
 
-    def gather(tables: list[list], mask: int, out):
-        for table in tables:
-            out += table[mask & 255]
-            mask >>= 8
-        return out
-
     seen = bytearray(1 << k)
     seen[::1 << strides[0]] = b"\1" * (1 << (k - strides[0]))  # missing the low face of axis 0
     p, q = alpha.numerator, alpha.denominator
@@ -166,30 +162,34 @@ def exhaustive_search(window, alpha: Fraction, one_sided: bool = False) -> Taube
         members = [rep]
         for mask in members:  # grows while it is walked: a closure by search
             for tables, face, stride in generators:
-                image = gather(tables, mask, 0)
+                image = _gather(tables, mask, 0)
                 while not image & face:  # a reflection leaves its axis off the low face
                     image >>= stride
                 if not seen[image]:
                     seen[image] = 1
                     members.append(image)
-        pts = gather(tuples, rep, ())
+        pts = _gather(tuples, rep, ())
         runs = _halo_1d(pts, p, q, two_sided=False) if one_sided else _kernel_runs(pts, p, q)
         count, size = sum(b - a + 1 for _, a, b in runs), len(pts)
         if count * best.den >= best.num * size:
-            best.offer(count, size, min(gather(tuples, m, ()) for m in members))
+            best.offer(count, size, min(_gather(tuples, m, ()) for m in members))
     return _estimate(alpha, best, dim, "exhaustive", "exact")
 
 
 def _family_members(family: str, dim: int, max_block: int):
     if max_block < 1 or dim < 1:
         raise DomainError("family size bound and dimension must be >= 1")
+    # blocks of sides 1..m hold m(m+1)/2 points in all, boxes that to the power dim
+    size = (max_block * (max_block + 1) // 2) ** (dim if family in _BOX_FAMILIES else 1)
+    if size > HALO_MEMBER_LIMIT:
+        raise DomainError(f"refusing to build a {family} of {size} points (limit {HALO_MEMBER_LIMIT})")
     if family == "interval-family":
         if dim != 1:
             raise DomainError("the interval family is 1-D")
         return [interval(k) for k in range(1, max_block + 1)]
     if family == "product-family" and dim != 2:
         raise DomainError("the product family is 2-D")
-    if family in ("box-family", "product-family"):  # planar products of blocks are boxes
+    if family in _BOX_FAMILIES:  # planar products of blocks are boxes
         return [LatticeSet(dim=dim, points=tuple(_cartesian(*map(range, sides))))
                 for sides in _cartesian(*(range(1, max_block + 1) for _ in range(dim)))]
     if family == "staircase-family":
@@ -220,7 +220,7 @@ def family_search(
     dim, max_block = require_integers((dim, max_block), "dim and max_block")
     family = _FAMILY_NAMES.get(family, family)
     members = _family_members(family, dim, max_block)
-    best, ratios, boxes = LexMax(), {}, family in ("box-family", "product-family")
+    best, ratios, boxes = LexMax(), {}, family in _BOX_FAMILIES
     for E in members:  # a box's last point is its sides less one
         key = tuple(sorted(E.points[-1])) if boxes else E.points
         if key not in ratios:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from taublab import search
 from taublab.cli import build_parser, main
 
 
@@ -190,6 +191,19 @@ class TestSweep:
         code, _, err = run(argv, capsys)
         assert code == 3
         assert err.startswith("domain error:")
+
+    def test_oversized_box_family_exit_3(self, tmp_path, capsys, monkeypatch):
+        """The 3-D box family at the default block bound 60 holds 1830^3
+        points: refused from that count, in milliseconds, with nothing written."""
+        monkeypatch.setattr(search, "LatticeSet", None)  # building a member would fail
+        out_file = tmp_path / "boxes.csv"
+        start = time.perf_counter()
+        code, out, err = run(["sweep", "--grid", "1/2", "--dim", "3", "--strategy", "box-family",
+                              "--out", out_file], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 3 and out == ""
+        assert str(1830**3) in err
+        assert not out_file.exists()
 
     def test_empty_grid_exit_3(self, tmp_path, capsys):
         code, _, _ = run(["sweep", "--grid", ",", "--out", tmp_path / "e.csv"], capsys)

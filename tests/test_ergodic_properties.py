@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 from itertools import product
+from math import gcd
 
 from taublab import ergodic
 from taublab.ergodic import (
@@ -451,3 +452,79 @@ def test_class_enumeration_matches_full_enumeration():
                 constant = one_sided_exact_tauberian if one_sided else exact_tauberian
                 est = constant(system, alpha)
                 assert (est.value, est.witness) == brute_exact_tauberian(system, alpha, one_sided)
+
+
+def necklace_count(n):
+    """Binary necklaces of length n, by Burnside: (1/n) sum over d | n of
+    phi(d) 2^(n/d)."""
+    phi = lambda d: sum(1 for i in range(1, d + 1) if gcd(i, d) == 1)
+    return sum(phi(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+def test_single_cycles_score_one_class_per_necklace(monkeypatch):
+    """A uniform n-cycle scores each nonempty binary necklace once: N(n) - 1
+    cyclic scans for n = 1..16, on both sides (N(16) = 4116)."""
+    scans = []
+    covered = ergodic._covered_cyclic
+    monkeypatch.setattr(ergodic, "_covered_cyclic", lambda w, two_sided=True: scans.append(
+        two_sided) or covered(w, two_sided))
+    assert necklace_count(16) == 4116
+    for n in range(1, 17):
+        for constant in (exact_tauberian, one_sided_exact_tauberian):
+            scans.clear()
+            constant(make_cyclic(n), F(1, 2))
+            assert len(scans) == necklace_count(n) - 1
+
+
+def test_only_single_cycles_take_the_necklace_walk(monkeypatch):
+    walks = []
+    monkeypatch.setattr(ergodic, "_necklace_tauberian", lambda *args: walks.append(args[0]))
+    for masses, generators in [uniform(cycles(3, 3)), uniform(cycles(5, 1)),
+                               uniform(torus_generators(2, 3))]:
+        exact_tauberian(AtomicSystem(tuple(masses), len(generators), tuple(map(tuple, generators))),
+                        F(1, 2))
+    assert walks == []
+    exact_tauberian(make_cyclic(6), F(1, 2))
+    assert len(walks) == 1
+
+
+def test_necklace_walk_matches_closure_walk_past_the_oracle():
+    """Value and witness of the necklace walk against the closure walk,
+    called directly, on relabelled single cycles of 13..16 atoms: at the jump
+    (2N - 2)/(2N - 1) +- 1/(8N^2) and two more thresholds, on both sides."""
+    rng = random.Random(1978)
+    for n in range(13, 17):
+        system = relabelled(rng, *uniform(cycles(n)))
+        jump = F(2 * n - 2, 2 * n - 1)
+        alphas = [jump - F(1, 8 * n * n), jump + F(1, 8 * n * n),
+                  F(rng.randint(1, 9), 10), F(rng.randint(1, 2 * n - 1), 2 * n)]
+        for alpha in alphas:
+            for halo_of, constant in [(ergodic_halo, exact_tauberian),
+                                      (one_sided_ergodic_halo, one_sided_exact_tauberian)]:
+                est = constant(system, alpha)
+                ref = ergodic._exhaustive_tauberian(system, alpha, halo_of)
+                assert (est.value, est.witness, est.strategy) == (ref.value, ref.witness, ref.strategy)
+
+
+def test_ties_that_cannot_win_are_not_offered(monkeypatch):
+    """Both walks skip a tie when (0, ..., k - 1), the least sorted k-subset,
+    does not lie below the best key, so they build no witness for it.  The
+    cases include ties with the key (0, ..., k - 1) itself."""
+    offers = []
+
+    class Checked(ergodic.LexMax):
+        def offer(self, num, den, key):
+            if num * self.den == self.num * den:
+                offers.append(tuple(range(len(key))) < self.key)
+            super().offer(num, den, key)
+
+    monkeypatch.setattr(ergodic, "LexMax", Checked)
+    rng = random.Random(24)
+    systems = [make_cyclic(n) for n in range(2, 11)]
+    systems += [relabelled(rng, *uniform(cycles(n))) for n in range(4, 11)]
+    systems += [relabelled(rng, *uniform(cycles(4, 4))), relabelled(rng, *uniform(cycles(5, 1, 1)))]
+    for system in systems:
+        for k in range(1, 24):
+            exact_tauberian(system, F(k, 24))
+            one_sided_exact_tauberian(system, F(k, 24))
+    assert offers and all(offers)

@@ -248,6 +248,30 @@ class TestFamilies:
         family_search("boxes", F(1, 3), dim=3, max_block=3)
         assert len(calls) == 10
 
+    def test_oversized_family_refused_before_building(self, monkeypatch):
+        """A family's points are counted in closed form, (m(m+1)/2)^dim for
+        boxes and m(m+1)/2 for intervals and staircases, and a family over
+        HALO_MEMBER_LIMIT points is refused before any member is built."""
+        for family, dim, max_block in [("box-family", 1, 5), ("box-family", 3, 3),
+                                       ("product-family", 2, 4), ("staircase-family", 2, 7)]:
+            members = search._family_members(family, dim, max_block)
+            assert sum(map(len, members)) == (max_block * (max_block + 1) // 2) ** (
+                dim if family != "staircase-family" else 1)
+        monkeypatch.setattr(search, "LatticeSet", None)  # building a member would fail
+        with pytest.raises(DomainError, match=str(1830**3)):
+            family_search("boxes", F(1, 2), dim=3)
+        monkeypatch.setattr(search, "HALO_MEMBER_LIMIT", 36)
+        with pytest.raises(DomainError, match="216 points"):
+            family_search("boxes", F(1, 2), dim=3, max_block=3)
+        for family, dim, max_block, size in [("products", 2, 4, 100), ("intervals", 1, 9, 45),
+                                             ("staircases", 2, 9, 45)]:
+            with pytest.raises(DomainError, match=f" {size} points"):
+                family_search(family, F(1, 2), dim=dim, max_block=max_block)
+        monkeypatch.undo()
+        monkeypatch.setattr(search, "HALO_MEMBER_LIMIT", 36)  # 36 points pass
+        assert family_search("products", F(1, 2), dim=2, max_block=3).mode == "exact"
+        assert family_search("intervals", F(1, 2), max_block=8).mode == "exact"
+
     @pytest.mark.parametrize("kwargs", [{"max_block": 2.5}, {"dim": 2.0}, {"max_block": "3"}])
     def test_family_refuses_non_integer_arguments(self, kwargs):
         with pytest.raises(DomainError):
