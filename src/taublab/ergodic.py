@@ -28,8 +28,9 @@ class of subsets under the group the generators generate.  The exhaustive
 supremum therefore computes one halo per class, and reports as witness the
 lexicographically least sorted atom tuple among all maximising subsets, not
 the class representative.  The classes of a single cycle are the binary
-necklaces of its orbit order, listed directly; those of any other system are
-found by closing each unseen subset mask under the generators.
+necklaces of its orbit order, listed directly; those of any other system come
+from the class walk, shared with the lattice exhaustive search, which closes
+each unseen subset mask under the generators.
 """
 
 from __future__ import annotations
@@ -413,6 +414,11 @@ def _byte_tables(n: int, empty, unit) -> list[list]:
     return tables
 
 
+@lru_cache(maxsize=None)  # once per atom count: building them costs more than a small walk
+def _atom_tables(n: int) -> list[list]:
+    return _byte_tables(n, (), lambda a: (a,))  # an n-atom mask's sorted atom tuple
+
+
 def _gather(tables: list[list], mask: int, out):
     """`out` plus the entries of the byte tables for the bytes of the mask."""
     for table in tables:
@@ -446,42 +452,53 @@ def _require_enumerable(n: int, max_enum: int = EXHAUSTIVE_ATOM_LIMIT):
 
 
 def _exhaustive_tauberian(system: AtomicSystem, alpha: Fraction, halo_of) -> TauberianEstimate:
-    """One halo per class of subsets under the group the generators generate.
-
-    Masks are walked in increasing order; an unseen mask represents a new
-    class, which is closed under the generators and marked seen.  Halo
-    measure over set measure is constant on a class, so only the
-    representative's halo is computed, scored with integer atom weights over
-    the common denominator of the masses.  A class that ties or beats the
-    best ratio so far offers the least sorted atom tuple among its members,
-    which keeps the witness the least maximiser over all subsets.
-    """
-    n = system.atom_count
+    """The class walk under the generated group, scoring halo measure over set
+    measure with integer atom weights over the common denominator of the masses."""
     denom = lcm(*(m.denominator for m in system.masses))
     weight = [m.numerator * (denom // m.denominator) for m in system.masses]
-    atoms_of = _byte_tables(n, (), lambda a: (a,))
-    # a permutation sends distinct atoms to distinct bits, so + is |
-    images = [_byte_tables(n, 0, lambda a, g=g: 1 << g[a]) for g in system.generators]
-    seen = bytearray(1 << n)
-    best = LexMax()
-    for rep in range(1, 1 << n):
-        if seen[rep]:
-            continue
+    atoms_of = _atom_tables(len(weight))
+
+    def score(rep: int) -> tuple[int, int]:
+        atoms = _gather(atoms_of, rep, ())
+        halo = halo_of(system, MeasurableSet(system=system, atoms=atoms), alpha)
+        return sum(map(weight.__getitem__, halo.atoms)), sum(map(weight.__getitem__, atoms))
+
+    best = _class_walk(len(weight), [(g, -1, 0) for g in system.generators], [], atoms_of, score)
+    return TauberianEstimate(alpha, best.value, best.key, "exhaustive-subsets", "exact")
+
+
+def _class_walk(k: int, maps, faces: list[int], keys: list[list], score) -> LexMax:
+    """The one class walk of both exhaustive searches: a map that carries halos
+    onto halos keeps the ratio, so each class of nonempty k-bit masks is scored once.
+    A map is (bit permutation, face, stride): an image is shifted right by the
+    stride until it meets the face (-1 for a permutation).  Masks meeting every
+    face are canonical, and faces[0], if any, is the low bits.  In increasing
+    order, an unseen canonical mask opens a class, closed by search under the
+    maps; score(rep) gives it an integer pair, and a class that may change the
+    best (see _can_win) offers its members' least key, a sum of key tables."""
+    # one table per map; distinct bits go to distinct bits, so + is |
+    images = [(_byte_tables(k, 0, lambda j, g=g: 1 << g[j]), *rest) for g, *rest in maps]
+    seen = bytearray(1 << k)
+    if faces:  # mark every mask missing the low face at once
+        seen[::faces[0] + 1] = b"\1" * ((1 << k) // (faces[0] + 1))
+    best, rep, others = LexMax(), 0, faces[1:]
+    while (rep := seen.find(0, rep + 1)) > 0:
+        if others and not all(rep & face for face in others):
+            continue  # not canonical, so no canonical mask's image either
         seen[rep] = 1
         members = [rep]
         for mask in members:  # grows while it is walked: a closure by search
-            for tables in images:
+            for tables, face, stride in images:
                 image = _gather(tables, mask, 0)
+                while not image & face:  # a reflection leaves its axis off the low face
+                    image >>= stride
                 if not seen[image]:
                     seen[image] = 1
                     members.append(image)
-        atoms = _gather(atoms_of, rep, ())
-        halo = halo_of(system, MeasurableSet(system=system, atoms=atoms), alpha)
-        num = sum(map(weight.__getitem__, halo.atoms))
-        den = sum(map(weight.__getitem__, atoms))
-        if _can_win(best, num, den, len(atoms)):
-            best.offer(num, den, min(_gather(atoms_of, m, ()) for m in members))
-    return TauberianEstimate(alpha, best.value, best.key, "exhaustive-subsets", "exact")
+        num, den = score(rep)
+        if _can_win(best, num, den, keys, rep.bit_count()):
+            best.offer(num, den, min(_gather(keys, m, ()) for m in members))
+    return best
 
 
 def _necklace_tauberian(system: AtomicSystem, alpha: Fraction, two_sided: bool) -> TauberianEstimate:
@@ -499,13 +516,13 @@ def _necklace_tauberian(system: AtomicSystem, alpha: Fraction, two_sided: bool) 
     n = len(cyc)
     lo, hi = -alpha.numerator, alpha.denominator - alpha.numerator
     reversed_labels = [1 << n - 1 - a for a in cyc]
-    best = LexMax()
+    atoms_of, best = _atom_tables(n), LexMax()
     word, period = [lo] * (n - 1) + [hi], n  # the successor of the empty word
     while True:
         if n % period == 0:
             ones = word.count(hi)
             covered = sum(_covered_cyclic(word, two_sided))
-            if _can_win(best, covered, ones, ones):
+            if _can_win(best, covered, ones, atoms_of, ones):
                 cells = [i for i, x in enumerate(word) if x == hi]
                 top = max(sum(reversed_labels[i - r] for i in cells) for r in range(n))
                 best.offer(covered, ones, tuple(a for a in range(n) if top >> n - 1 - a & 1))
@@ -516,11 +533,12 @@ def _necklace_tauberian(system: AtomicSystem, alpha: Fraction, two_sided: bool) 
         word = (word[:period] * (n // period + 1))[:n]
 
 
-def _can_win(best: LexMax, num: int, den: int, size: int) -> bool:
-    """Whether a class of size-atom sets scoring num/den may change `best`: a win,
-    or a tie where (0, ..., size - 1), the least sorted size-tuple, lies below its key."""
+def _can_win(best: LexMax, num: int, den: int, keys: list[list], size: int) -> bool:
+    """The one tie rule of every exhaustive walk: whether a class of size-member sets
+    scoring num/den may change `best`, by a win or by a tie where the least key of
+    size members, the key tables' sum for the low size bits, lies below best's key."""
     lhs, rhs = num * best.den, best.num * den
-    return lhs > rhs or lhs == rhs and tuple(range(size)) < best.key
+    return lhs > rhs or lhs == rhs and _gather(keys, (1 << size) - 1, ()) < best.key
 
 
 def _heuristic_tauberian(

@@ -20,7 +20,7 @@ from itertools import combinations, product as _cartesian
 from operator import mul
 
 from .errors import DomainError
-from .ergodic import _byte_tables, _gather
+from .ergodic import _byte_tables, _class_walk, _gather
 from .estimate import TauberianEstimate
 from .lattice import _halo_1d, _kernel_runs
 from .lattice import (
@@ -69,9 +69,6 @@ class SearchConfig:
         if self.one_sided and self.dim != 1:
             raise DomainError("one-sided searches are 1-D only")
 
-    def window_points(self) -> list[tuple[int, ...]]:
-        return list(_cartesian(*(range(lo, hi + 1) for lo, hi in self.window)))
-
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
@@ -118,15 +115,13 @@ def exhaustive_search(window, alpha: Fraction, one_sided: bool = False) -> Taube
 
     The strong operator averages over all axis-parallel boxes, so a map of
     Z^n carrying boxes to boxes of the same volume (a translation, an axis
-    reflection, a swap of two axes) keeps the two-sided ratio, and one halo
-    per symmetry class is computed.  Canonical masks (per-axis minima 0) are
-    walked in increasing order; an unseen one opens a class, closed under
-    the reflections and the swaps of axes of equal extent, each image moved
-    back to the low corner.  Reflections change one-sided ratios
-    ({0,2,3,4,5,9,10} at 3/5 gives 11/7, its mirror image 10/7), so one-sided
-    classes are translation classes.  A class that ties or beats the best
-    ratio, compared in integers, offers its least point tuple: the witness is
-    the least maximiser over all subsets.
+    reflection, a swap of two axes) keeps the two-sided ratio, and the class
+    walk of the ergodic module scores one halo per symmetry class: canonical
+    masks (per-axis minima 0) closed under the reflections and the swaps of
+    axes of equal extent, each image moved back to the low corner.
+    Reflections change one-sided ratios ({0,2,3,4,5,9,10} at 3/5 gives 11/7,
+    its mirror image 10/7), so one-sided classes are translation classes.
+    The witness is the least maximiser over all subsets.
     """
     alpha = require_alpha(alpha)
     extents = [hi - lo + 1 for lo, hi in _require_window(window)]
@@ -140,39 +135,22 @@ def exhaustive_search(window, alpha: Fraction, one_sided: bool = False) -> Taube
     points = list(_cartesian(*(range(e) for e in extents)))
     strides = [math.prod(extents[i + 1:]) for i in range(dim)]
     faces = [sum(1 << j for j, pt in enumerate(points) if pt[i] == 0) for i in range(dim)]
-    # (point map, low face and stride of the axis a reflection moves off the low
-    # corner, or -1 and 0 for a swap); maps are one-to-one, so + is | in their tables
+    # (point map, face and stride that move a reflection back to the low corner; -1, 0 for a swap)
     maps = [] if one_sided else [
         ([pt[:i] + (e - 1 - pt[i],) + pt[i + 1:] for pt in points], faces[i], strides[i])
         for i, e in enumerate(extents) if e > 1] + [
         ([pt[:i] + (pt[j],) + pt[i + 1:j] + (pt[i],) + pt[j + 1:] for pt in points], -1, 0)
         for i, j in combinations(range(dim), 2) if extents[i] == extents[j]]
-    generators = [(_byte_tables(k, 0, lambda j, g=g: 1 << sum(map(mul, g[j], strides))), *rest)
-                  for g, *rest in maps]
     tuples = _byte_tables(k, (), lambda j: (points[j],))
-
-    seen = bytearray(1 << k)
-    seen[::1 << strides[0]] = b"\1" * (1 << (k - strides[0]))  # missing the low face of axis 0
     p, q = alpha.numerator, alpha.denominator
-    best, rep = LexMax(), 0
-    while (rep := seen.find(0, rep + 1)) > 0:
-        if not all(rep & face for face in faces[1:]):
-            continue  # not canonical, so no canonical mask's image either
-        seen[rep] = 1
-        members = [rep]
-        for mask in members:  # grows while it is walked: a closure by search
-            for tables, face, stride in generators:
-                image = _gather(tables, mask, 0)
-                while not image & face:  # a reflection leaves its axis off the low face
-                    image >>= stride
-                if not seen[image]:
-                    seen[image] = 1
-                    members.append(image)
+
+    def score(rep: int) -> tuple[int, int]:
         pts = _gather(tuples, rep, ())
         runs = _halo_1d(pts, p, q, two_sided=False) if one_sided else _kernel_runs(pts, p, q)
-        count, size = sum(b - a + 1 for _, a, b in runs), len(pts)
-        if count * best.den >= best.num * size:
-            best.offer(count, size, min(_gather(tuples, m, ()) for m in members))
+        return sum(b - a + 1 for _, a, b in runs), len(pts)
+
+    bit_maps = [([sum(map(mul, pt, strides)) for pt in g], *rest) for g, *rest in maps]
+    best = _class_walk(k, bit_maps, faces, tuples, score)
     return _estimate(alpha, best, dim, "exhaustive", "exact")
 
 
@@ -256,7 +234,9 @@ def anneal_search(config: SearchConfig, alpha: Fraction) -> TauberianEstimate:
     """
     alpha = require_alpha(alpha)
     rng = random.Random(config.rng_seed)
-    window_points = config.window_points()
+    extents = [hi - lo + 1 for lo, hi in config.window]
+    strides = [math.prod(extents[i + 1:]) for i in range(config.dim)]
+    axes = list(zip([lo for lo, _ in config.window], strides, extents))  # to unravel a draw
     population = _anneal_population(config)
     best = LexMax()
     evaluated: dict[tuple, Fraction] = {}
@@ -274,7 +254,8 @@ def anneal_search(config: SearchConfig, alpha: Fraction) -> TauberianEstimate:
     current_value = best.value
     temperature = 1.0
     for _ in range(config.budget):
-        pt = window_points[rng.randrange(len(window_points))]
+        draw = rng.randrange(strides[0] * extents[0])  # a window point, in row-major order
+        pt = tuple([lo + draw // stride % e for lo, stride, e in axes])
         pts = set(current.points)
         if pt in pts:
             if len(pts) == 1:

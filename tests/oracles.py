@@ -211,6 +211,26 @@ def brute_exact_tauberian(system, alpha, one_sided=False):
     return best, min(atoms for atoms, r in ratios.items() if r == best)
 
 
+def brute_subset_classes(system):
+    """Number of classes of nonempty atom subsets under the group the
+    generators generate: every subset closed under the generators, in plain
+    sets, named by its least sorted member."""
+    n = len(system.masses)
+    names = set()
+    for mask in range(1, 1 << n):
+        start = frozenset(a for a in range(n) if mask >> a & 1)
+        orbit, todo = {start}, [start]
+        while todo:
+            subset = todo.pop()
+            for g in system.generators:
+                image = frozenset(g[a] for a in subset)
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        names.add(min(tuple(sorted(s)) for s in orbit))
+    return len(names)
+
+
 def brute_exhaustive_search(window, alpha, one_sided=False):
     """(value, witness points) of the exhaustive lattice search, by the walk
     over translation classes only: every subset of the window meeting each

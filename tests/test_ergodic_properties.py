@@ -27,6 +27,7 @@ from oracles import (
     brute_ergodic_max,
     brute_exact_tauberian,
     brute_one_sided_ergodic_halo,
+    brute_subset_classes,
     brute_tower_index,
 )
 
@@ -486,6 +487,27 @@ def test_only_single_cycles_take_the_necklace_walk(monkeypatch):
     assert walks == []
     exact_tauberian(make_cyclic(6), F(1, 2))
     assert len(walks) == 1
+
+
+def test_closure_walk_scores_one_subset_per_class(monkeypatch):
+    """Tori and relabelled multi-cycle systems, with masses that differ from
+    cycle to cycle, compute one halo per class of subsets under the generated
+    group, on both sides where there is one generator."""
+    calls = []
+    for name in ("ergodic_halo", "one_sided_ergodic_halo"):
+        halo = getattr(ergodic, name)
+        monkeypatch.setattr(ergodic, name, lambda *args, halo=halo: calls.append(1) or halo(*args))
+    rng = random.Random(22)
+    systems = [make_torus(2, 3), make_torus(3, 3), make_torus(2, 2, 2)]
+    systems += [relabelled(rng, *disjoint_union(*map(cycles, lengths)))
+                for lengths in [(3, 3), (4, 2, 1), (5, 3), (6, 4, 2), (2, 2, 2, 1)]]
+    for system in systems:
+        classes = brute_subset_classes(system)
+        constants = [exact_tauberian] + [one_sided_exact_tauberian] * (system.dim == 1)
+        for constant in constants:
+            calls.clear()
+            constant(system, F(1, 2))
+            assert len(calls) == classes, (system, constant)
 
 
 def test_necklace_walk_matches_closure_walk_past_the_oracle():

@@ -2,13 +2,15 @@
 
 import os
 import random
+import time
+import tracemalloc
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
 
 import pytest
 
-from taublab import search
+from taublab import ergodic, search
 from taublab.errors import DomainError, InputFormatError
 from taublab.formats import sweep_to_csv
 from taublab.lattice import (
@@ -159,6 +161,29 @@ class TestExhaustive:
         monkeypatch.setattr(search, "_kernel_runs", kernel)
         est = exhaustive_search(((0, 1), (5, 6)), F(1, 2))
         assert (est.value, est.witness.points) == (2, ((0, 0), (1, 1)))
+
+    def test_ties_that_cannot_win_are_not_offered(self, monkeypatch):
+        """The class walk skips a tie unless the window's first |S| points,
+        the least sorted |S|-subset, lie below the best key, so it builds no
+        witness for it; 1-D windows of 2..12 points on both sides and three
+        planar windows, at k/24."""
+        offers, first = [], []
+
+        class Checked(search.LexMax):
+            def offer(self, num, den, key):
+                if num * self.den == self.num * den:
+                    offers.append(tuple(first[:len(key)]) < self.key)
+                super().offer(num, den, key)
+
+        monkeypatch.setattr(search, "LexMax", Checked)
+        monkeypatch.setattr(ergodic, "LexMax", Checked)
+        cases = [((n,), one_sided) for n in range(2, 13) for one_sided in (False, True)]
+        cases += [((2, 2), False), ((2, 3), False), ((3, 3), False)]
+        for extents, one_sided in cases:
+            first[:] = product(*map(range, extents))
+            for k in range(1, 24):
+                exhaustive_search(tuple((0, e - 1) for e in extents), F(k, 24), one_sided=one_sided)
+        assert offers and all(offers)
 
     def test_square_window_of_sixteen(self):
         # 57856 translation classes, 7625 symmetry classes; the
@@ -329,6 +354,39 @@ class TestAnneal:
         est = anneal_search(cfg, F(9, 10))
         assert est.value >= family_search("products", F(9, 10), dim=2, max_block=6).value
         assert est.value == F(22, 21)  # golden: a non-product set edges past ratio 1
+
+    @pytest.mark.parametrize("window", [((0, 10**12 - 1),), ((0, 10**6 - 1), (-10**6, -1))])
+    def test_huge_window_is_not_listed(self, window):
+        """Moves are drawn by index into the window, so a window of 10^12
+        points costs what a small one does: well under a second and a megabyte."""
+        cfg = SearchConfig(dim=len(window), window=window, strategy="anneal", rng_seed=5,
+                           budget=10, max_block=3)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            est = anneal_search(cfg, F(1, 2))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5 and peak < 1 << 20
+        assert halo_ratio(est.witness, F(1, 2)) == est.value
+
+    @pytest.mark.parametrize("window, alpha, value, witness", [
+        (((0, 2), (0, 4)), F(3, 5), F(37, 11),
+         ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (2, 3))),
+        (((-1, 3), (2, 4)), F(2, 3), F(31, 12),
+         ((-1, 3), (-1, 4), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3),
+          (2, 4), (3, 3))),
+    ])
+    def test_draws_follow_row_major_order(self, window, alpha, value, witness):
+        """Golden runs on windows that are not squares, recorded when every move
+        indexed a list of the window's points in row-major order: a draw must
+        still name the same point."""
+        cfg = SearchConfig(dim=len(window), window=window, strategy="anneal", rng_seed=7,
+                           budget=300, max_block=2)
+        est = anneal_search(cfg, alpha)
+        assert (est.value, est.witness.points) == (value, witness)
 
     def test_deterministic(self):
         cfg = SearchConfig(
