@@ -22,6 +22,10 @@ one-sided (forward window) one alike.  Halos, halo measures, Tauberian
 ratios and their exhaustive suprema over all nonempty atom subsets are
 computed exactly, with rational arithmetic end to end.
 
+Each system lays out its cycles once, on first use, and every orbit walk (the
+period grid of a halo, the patch of an evaluation, a power, a tower's
+translates) reads that layout: one index per atom and generator.
+
 Each generator commutes with the others and preserves mass, so it carries the
 halo of E onto the halo of its image: the Tauberian ratio is constant on every
 class of subsets under the group the generators generate.  The exhaustive
@@ -37,12 +41,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, compress, product as _cartesian
 from math import lcm, prod
 from numbers import Rational
 from operator import add
 import random
+from typing import NamedTuple
 
 from .errors import DomainError
 from .estimate import TauberianEstimate
@@ -50,6 +55,14 @@ from .lattice import LatticeSet, eval_strong_max, halo as lattice_halo
 from .rational import LexMax, require_alpha, require_integers
 
 EXHAUSTIVE_ATOM_LIMIT = 20
+
+
+class _Cycles(NamedTuple):
+    """One generator's cycles, each from its least atom in generator order, and
+    each atom's (cycle, place) on them: U^e a is cyc[(place + e) % len(cyc)]."""
+
+    cycles: tuple[tuple[int, ...], ...]
+    where: tuple[tuple[tuple[int, ...], int], ...]
 
 
 @dataclass(frozen=True)
@@ -96,6 +109,23 @@ class AtomicSystem:
     @property
     def atom_count(self) -> int:
         return len(self.masses)
+
+    @cached_property
+    def _layout(self) -> tuple[_Cycles, ...]:
+        """Each generator's cycles, read by every orbit walk: built on first use."""
+        layout = []
+        for g in self.generators:
+            cycles, where = [], [None] * len(g)
+            for start in range(len(g)):
+                if where[start] is None:
+                    cyc = [start]
+                    while (a := g[cyc[-1]]) != start:
+                        cyc.append(a)
+                    cycles.append(cyc := tuple(cyc))
+                    for place, a in enumerate(cyc):
+                        where[a] = (cyc, place)
+            layout.append(_Cycles(tuple(cycles), tuple(where)))
+        return tuple(layout)
 
 
 def make_cyclic(n: int) -> AtomicSystem:
@@ -155,40 +185,6 @@ class MeasurableSet:
         return atom in set(self.atoms)
 
 
-@lru_cache(maxsize=None)
-def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    return tuple(inv)
-
-
-@lru_cache(maxsize=None)
-def _cycles(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    seen = [False] * len(perm)
-    out = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cyc = []
-        a = start
-        while not seen[a]:
-            seen[a] = True
-            cyc.append(a)
-            a = perm[a]
-        out.append(tuple(cyc))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _cycle_length_of(perm: tuple[int, ...]) -> tuple[int, ...]:
-    length = [0] * len(perm)
-    for cyc in _cycles(perm):
-        for a in cyc:
-            length[a] = len(cyc)
-    return tuple(length)
-
-
 def _require_atom(system: AtomicSystem, atom) -> int:
     (atom,) = require_integers((atom,), "atom")
     if not 0 <= atom < system.atom_count:
@@ -202,26 +198,22 @@ def apply_power(system: AtomicSystem, atom: int, exponents) -> int:
     exps = require_integers(exponents, "exponents")
     if len(exps) != system.dim:
         raise DomainError("exponent vector dimension mismatch")
-    for axis, e in enumerate(exps):
-        perm = system.generators[axis]
-        period = _cycle_length_of(perm)[atom]
-        e %= period
-        for _ in range(e):
-            atom = perm[atom]
+    (atom,) = _patch(system, atom, [range(e, e + 1) for e in exps])
     return atom
 
 
-def _axis_line(system: AtomicSystem, atom: int, axis: int, back: int, fwd: int) -> list[int]:
-    perm = system.generators[axis]
-    inv = _inverse(perm)
-    a = atom
-    for _ in range(back):
-        a = inv[a]
-    line = [a]
-    for _ in range(back + fwd):
-        a = perm[a]
-        line.append(a)
-    return line
+def _patch(system: AtomicSystem, atom: int, spans) -> list[int]:
+    """The atoms U_1^{j_1} ... U_n^{j_n} atom, j row-major over the product of
+    the spans (one range of exponents per generator): every orbit walk, one
+    layout lookup per atom."""
+    flat = [atom]
+    for (_, where), span in zip(system._layout, spans):
+        rows = []
+        for b in flat:
+            cyc, place = where[b]
+            rows += [cyc[(place + j) % len(cyc)] for j in span]
+        flat = rows
+    return flat
 
 
 def _check_set(system: AtomicSystem, E: MeasurableSet):
@@ -245,7 +237,7 @@ def eval_ergodic_max(
     _check_set(system, E)
     atom = _require_atom(system, atom)
     if side_bound is None:
-        arms = [_cycle_length_of(system.generators[i])[atom] - 1 for i in range(system.dim)]
+        arms = [len(where[atom][0]) - 1 for _, where in system._layout]
     else:
         (side_bound,) = require_integers((side_bound,), "side bound")
         if side_bound < 0:
@@ -258,11 +250,9 @@ def _eval_max(system: AtomicSystem, in_E: set[int], atom: int, arms: list[int]) 
     """Best density of the boxes [-a_i, b_i], 0 <= a_i, b_i <= arms[i]: the
     lattice maximum at 0 of the pattern, whose maximising box has its faces at
     pattern coordinates or 0, so lies in the patch and is one of these boxes."""
-    flat = [atom]  # row-major patch of orbit atoms over offsets [-arm_i, arm_i]
-    for axis, arm in enumerate(arms):
-        flat = [a for b in flat for a in _axis_line(system, b, axis, arm, arm)]
-    offsets = _cartesian(*(range(-arm, arm + 1) for arm in arms))  # row-major is lexicographic
-    pattern = tuple(pt for pt, a in zip(offsets, flat) if a in in_E)
+    spans = [range(-arm, arm + 1) for arm in arms]
+    offsets = _cartesian(*spans)  # row-major is lexicographic
+    pattern = tuple(pt for pt, a in zip(offsets, _patch(system, atom, spans)) if a in in_E)
     if not pattern:
         return Fraction(0)
     return eval_strong_max(LatticeSet(dim=len(arms), points=pattern), (0,) * len(arms))
@@ -319,7 +309,7 @@ def _halo_atoms_1d(system: AtomicSystem, atoms_in_E: set[int], alpha: Fraction,
     -p off E, two-sided or, for the one-sided halo, forward only."""
     p, q = alpha.numerator, alpha.denominator
     members: list[int] = []
-    for cyc in _cycles(system.generators[0]):
+    for cyc in system._layout[0].cycles:
         w = [q - p if a in atoms_in_E else -p for a in cyc]
         members.extend(compress(cyc, _covered_cyclic(w, two_sided)))
     return members
@@ -346,10 +336,8 @@ def _halo_atoms_nd(system: AtomicSystem, atoms_in_E: set[int], alpha: Fraction) 
     for origin in sorted(atoms_in_E):
         if origin in seen:
             continue
-        shape = [_cycle_length_of(g)[origin] for g in system.generators]
-        grid = [origin]
-        for axis, Q in enumerate(shape):
-            grid = [a for b in grid for a in _axis_line(system, b, axis, 0, Q - 1)]
+        shape = [len(where[origin][0]) for _, where in system._layout]
+        grid = _patch(system, origin, [range(Q) for Q in shape])
         seen.update(grid)
         members.extend(_orbit_halo(grid, shape, atoms_in_E, p, q))
     return members
@@ -438,7 +426,7 @@ def _tauberian(system: AtomicSystem, alpha: Fraction, two_sided: bool, max_enum:
     if system.atom_count > max_enum:
         return _heuristic_tauberian(system, alpha, halo_of, rng_seed, budget)
     _require_enumerable(system.atom_count)
-    if len(system.generators) == 1 and len(_cycles(system.generators[0])) == 1:
+    if system.dim == 1 and len(system._layout[0].cycles) == 1:
         return _necklace_tauberian(system, alpha, two_sided)
     return _exhaustive_tauberian(system, alpha, halo_of)
 
@@ -512,7 +500,7 @@ def _necklace_tauberian(system: AtomicSystem, alpha: Fraction, two_sided: bool) 
     the least atom of their symmetric difference, so on a tie or a win the
     class offers its rotation with the largest bit-reversed label mask.
     """
-    (cyc,) = _cycles(system.generators[0])
+    (cyc,) = system._layout[0].cycles
     n = len(cyc)
     lo, hi = -alpha.numerator, alpha.denominator - alpha.numerator
     reversed_labels = [1 << n - 1 - a for a in cyc]
@@ -562,7 +550,7 @@ def _heuristic_tauberian(
 
     seeds: list[tuple[int, ...]] = []
     if system.dim == 1:
-        for cyc in _cycles(system.generators[0]):
+        for cyc in system._layout[0].cycles:
             for length in range(1, len(cyc) + 1):
                 seeds.append(tuple(sorted(cyc[:length])))
     seeds.append(tuple(range(n)))
@@ -635,11 +623,9 @@ class TowerBase:
     heights: tuple[int, ...]
 
     def translates(self) -> list[tuple[int, ...]]:
-        out = [self.base.atoms]
-        for perm, h in zip(self.base.system.generators, self.heights):
-            step = lambda atoms, _, perm=perm: tuple(perm[a] for a in atoms)
-            out = [t for row in out for t in accumulate(range(1, h), step, initial=row)]
-        return [tuple(sorted(t)) for t in out]
+        spans = [range(h) for h in self.heights]
+        patches = [_patch(self.base.system, a, spans) for a in self.base.atoms]
+        return [tuple(sorted(t)) for t in zip(*patches)] or [()] * prod(self.heights)
 
     def is_disjoint(self) -> bool:
         translates = self.translates()
@@ -669,7 +655,7 @@ def index(system: AtomicSystem) -> IndexResult:
     the tower's height of distinct points."""
     if system.dim != 1:
         raise DomainError("the tower index is defined for one transformation only")
-    cycles = _cycles(system.generators[0])
+    cycles = system._layout[0].cycles
     lengths = tuple(sorted(len(c) for c in cycles))
     best_cycle = max(cycles, key=len)
     value = len(best_cycle)
@@ -694,7 +680,7 @@ def rokhlin_tower(system: AtomicSystem, heights) -> TowerBase:
     if prod(hts) > system.atom_count or not tower.is_disjoint():
         raise DomainError(
             f"no tower of heights {hts} from atom 0: translates collide "
-            f"(orbit periods {[_cycle_length_of(g)[0] for g in system.generators]})"
+            f"(orbit periods {[len(where[0][0]) for _, where in system._layout]})"
         )
     return tower
 
@@ -783,17 +769,14 @@ def one_sided_ergodic_max(system: AtomicSystem, E: MeasurableSet, atom: int) -> 
     _check_set(system, E)
     atom = _require_atom(system, atom)
     in_E = set(E.atoms)
-    P = _cycle_length_of(system.generators[0])[atom]
-    perm = system.generators[0]
+    cyc, place = system._layout[0].where[atom]
     best_num, best_den = 0, 1
     cnt = 0
-    a = atom
-    for length in range(1, P + 1):
+    for length, a in enumerate(cyc[place:] + cyc[:place], start=1):
         if a in in_E:
             cnt += 1
         if cnt * best_den > best_num * length:
             best_num, best_den = cnt, length
-        a = perm[a]
     return Fraction(best_num, best_den)
 
 

@@ -171,6 +171,16 @@ class TestEval:
             with pytest.raises(DomainError):
                 apply_power(system, atom, (1,))
 
+    def test_apply_power_costs_one_lookup_per_axis(self):
+        # exponents near the period; stepping the permutation made each call
+        # linear in its exponent
+        n = 10**5
+        system = make_cyclic(n)
+        start = time.perf_counter()
+        for k in range(1000):
+            assert apply_power(system, k, (n - 1 - k,)) == n - 1
+        assert time.perf_counter() - start < 0.5
+
     def test_non_integer_side_bound_rejected(self):
         system = make_cyclic(3)
         E = MeasurableSet.of(system, [0])

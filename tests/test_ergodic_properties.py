@@ -3,12 +3,14 @@
 import random
 from fractions import Fraction as F
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 from taublab import ergodic
 from taublab.ergodic import (
     AtomicSystem,
     MeasurableSet,
+    TowerBase,
+    apply_power,
     ergodic_halo,
     ergodic_halo_measure,
     eval_ergodic_max,
@@ -373,6 +375,47 @@ def cycles(*lengths):
         perm += [start + (i + 1) % length for i in range(length)]
         start += length
     return [perm]
+
+
+def test_orbit_readers_match_plain_steps():
+    """apply_power and TowerBase.translates against stepping each generator,
+    or its inverse for a negative exponent, one atom at a time, on a torus
+    and on systems whose period grid folds onto the orbit, with exponents in
+    [-3Q, 3Q] for the longest period Q.  An empty base still has one empty
+    translate per cell."""
+    rng = random.Random(83)
+    cases = [
+        uniform(torus_generators(3, 4)), uniform(power_pair(6, 4)), uniform(skewed_pair(3, 3, 2)),
+        disjoint_union(torus_generators(2, 3), power_pair(4, 2), skewed_pair(2, 2, 1)),
+    ]
+    for masses, generators in cases:
+        system = relabelled(rng, masses, generators)
+        gens = [list(g) for g in system.generators]
+        inverses = []
+        for g in gens:
+            inverse = [0] * len(g)
+            for a, b in enumerate(g):
+                inverse[b] = a
+            inverses.append(inverse)
+
+        def step(atom, exps):
+            for g, inverse, e in zip(gens, inverses, exps):
+                for _ in range(abs(e)):
+                    atom = (g if e > 0 else inverse)[atom]
+            return atom
+
+        Q = longest_arm(gens) + 1
+        for _ in range(40):
+            atom = rng.randrange(system.atom_count)
+            exps = [rng.randint(-3 * Q, 3 * Q) for _ in gens]
+            assert apply_power(system, atom, exps) == step(atom, exps)
+        for size in (2, 3, 0):
+            base = MeasurableSet.of(system, rng.sample(range(system.atom_count), size))
+            heights = tuple(rng.randint(1, Q) for _ in gens)
+            want = [tuple(sorted(step(a, exps) for a in base.atoms))
+                    for exps in product(*map(range, heights))]
+            assert TowerBase(base=base, heights=heights).translates() == want
+            assert len(want) == prod(heights)
 
 
 def test_one_sided_halo_matches_brute_forward_scan():
